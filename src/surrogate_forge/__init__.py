@@ -46,12 +46,8 @@ from .model_core import (
     eval_mean,
     eval_mean_batch,
     generate_observed,
-    get_preset,
     link_apply,
     link_deriv,
-    log_likelihood,
-    log_posterior,
-    log_prior,
     sample_ground_truth,
 )
 from .posterior import (
@@ -72,7 +68,6 @@ from .surrogate import (
     SurrogateNet,
     TrainHistory,
     TrainingDiverged,
-    forward,
     grad_check,
     init_net,
     load_net,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -18,7 +17,9 @@ from .bm_predict import predict_batch
 from .model_core import ModelSpec
 from .posterior import PosteriorDraws
 from .seeds import substream
-from .surrogate import NetConfig, SurrogateNet, init_net, mc_dropout_predict, train
+from .serialize import write_csv
+from .surrogate import (EarlyStopper, NetConfig, SurrogateNet, init_net,
+                        mc_dropout_predict, train)
 from .synth_data import INPUT_DISTS, DataGenConfig, LabeledSet, generate, generate_at
 
 
@@ -73,9 +74,14 @@ class RoundRecord:
     wall_time_s: float
 
 
+def _dropout_sigma(mat: np.ndarray) -> float:
+    """Sample std (ddof 1) over the K passes of an (M, K) dropout block,
+    then the mean of those M standard deviations."""
+    return float(np.mean(np.std(mat, axis=1, ddof=1)))
+
+
 def uncertainty(net: SurrogateNet, X_pool, K: int, rng) -> np.ndarray:
-    """Per-row predictive uncertainty: std over K dropout passes for each of
-    the M outputs, then the mean of those M standard deviations."""
+    """Per-row predictive uncertainty: the dropout sigma of K passes."""
     X_pool = np.asarray(X_pool, dtype=float)
     if X_pool.ndim != 2:
         raise ValueError("X_pool must be 2-D")
@@ -83,8 +89,7 @@ def uncertainty(net: SurrogateNet, X_pool, K: int, rng) -> np.ndarray:
         raise ValueError("K must be >= 2")
     sigma = np.empty(X_pool.shape[0])
     for i in range(X_pool.shape[0]):
-        mat = mc_dropout_predict(net, X_pool[i], K, rng)
-        sigma[i] = float(np.mean(np.std(mat, axis=1, ddof=1)))
+        sigma[i] = _dropout_sigma(mc_dropout_predict(net, X_pool[i], K, rng))
     return sigma
 
 
@@ -148,9 +153,7 @@ def al_train(spec: ModelSpec, draws: PosteriorDraws, cfg: ALConfig,
     records.append(RoundRecord(0, len(train_set), _round_train_loss(hist),
                                hist.best_val_loss, time.perf_counter() - t0))
 
-    best_val = hist.best_val_loss
-    best_snap = net.snapshot()
-    rounds_since_best = 0
+    stopper = EarlyStopper(cfg.inter_patience, hist.best_val_loss, net.snapshot())
 
     for r in range(1, cfg.max_rounds + 1):
         t0 = time.perf_counter()
@@ -168,17 +171,10 @@ def al_train(spec: ModelSpec, draws: PosteriorDraws, cfg: ALConfig,
                           shuffle_rng=shuffle_rng, dropout_rng=dropout_rng)
         records.append(RoundRecord(r, len(train_set), _round_train_loss(hist),
                                    hist.best_val_loss, time.perf_counter() - t0))
-
-        if hist.best_val_loss < best_val:
-            best_val = hist.best_val_loss
-            best_snap = net.snapshot()
-            rounds_since_best = 0
-        else:
-            rounds_since_best += 1
-        if rounds_since_best >= cfg.inter_patience:
+        if stopper.update(hist.best_val_loss, net):
             break
 
-    net.restore(best_snap)
+    net.restore(stopper.best_snapshot)
     return net, records
 
 
@@ -193,25 +189,17 @@ def calibration_data(net: SurrogateNet, spec: ModelSpec, draws: PosteriorDraws,
     mu_rmse = np.empty(n)
     for i in range(n):
         mat = mc_dropout_predict(net, X_pool[i], K, rng)
-        sigma[i] = float(np.mean(np.std(mat, axis=1, ddof=1)))
+        sigma[i] = _dropout_sigma(mat)
         mu_rmse[i] = float(np.mean(np.abs(mat - labels[i][:, None])))
     return sigma, mu_rmse
 
 
 def write_history_csv(records: list[RoundRecord], path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["round,dataset_size,train_loss,val_loss,wall_time_s"]
-    for rec in records:
-        lines.append(f"{rec.round},{rec.dataset_size},{rec.train_loss:.17g},"
-                     f"{rec.val_loss:.17g},{rec.wall_time_s:.6f}")
-    path.write_text("\n".join(lines) + "\n")
+    write_csv(path, "round,dataset_size,train_loss,val_loss,wall_time_s",
+              (f"{rec.round},{rec.dataset_size},{rec.train_loss:.17g},"
+               f"{rec.val_loss:.17g},{rec.wall_time_s:.6f}" for rec in records))
 
 
 def write_calibration_csv(sigma, mu_rmse, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["sigma,mu_rmse"]
-    for s, r in zip(sigma, mu_rmse):
-        lines.append(f"{s:.17g},{r:.17g}")
-    path.write_text("\n".join(lines) + "\n")
+    write_csv(path, "sigma,mu_rmse",
+              (f"{s:.17g},{r:.17g}" for s, r in zip(sigma, mu_rmse)))

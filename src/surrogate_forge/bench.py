@@ -26,7 +26,7 @@ from .posterior import PosteriorDraws, SamplerConfig, sample_posterior
 from .seeds import derive_seed, substream
 from .surrogate import NetConfig, init_net, predict, train
 from .synth_data import DataGenConfig, generate, generate_at
-from .serialize import write_manifest
+from .serialize import write_csv, write_manifest
 
 
 def crossover(kappa: int, m: int) -> int:
@@ -289,23 +289,15 @@ def run_invariance_suite(spec: ModelSpec, draws: PosteriorDraws,
 
 
 def write_effect_csv(curve: EffectCurve, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["x_j,mean,lo95,hi95"]
-    for k in range(curve.x.size):
-        lines.append(f"{curve.x[k]:.17g},{curve.mean[k]:.17g},"
-                     f"{curve.lo95[k]:.17g},{curve.hi95[k]:.17g}")
-    path.write_text("\n".join(lines) + "\n")
+    write_csv(path, "x_j,mean,lo95,hi95",
+              (f"{curve.x[k]:.17g},{curve.mean[k]:.17g},"
+               f"{curve.lo95[k]:.17g},{curve.hi95[k]:.17g}" for k in range(curve.x.size)))
 
 
 def write_speed_csv(report: BenchReport, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = ["J,bm_time_s,nn_time_s,test_mse,dataset_size"]
-    for r in report.rows:
-        lines.append(f"{r['J']},{r['bm_time_s']:.6f},{r['nn_time_s']:.6f},"
-                     f"{r['test_mse']:.17g},{r['final_dataset_size']}")
-    path.write_text("\n".join(lines) + "\n")
+    write_csv(path, "J,bm_time_s,nn_time_s,test_mse,dataset_size",
+              (f"{r['J']},{r['bm_time_s']:.6f},{r['nn_time_s']:.6f},"
+               f"{r['test_mse']:.17g},{r['final_dataset_size']}" for r in report.rows))
 
 
 def write_report_json(path, payload: dict) -> None:

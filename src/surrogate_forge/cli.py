@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,9 @@ from .config import ConfigError, RunConfig, build_net_config, load_config
 from .model_core import generate_observed, sample_ground_truth
 from .posterior import SamplerInitError, load_posterior, sample_posterior, save_posterior
 from .seeds import substream
-from .serialize import ArtifactError
-from .surrogate import TrainingDiverged, load_net, predict, save_net, train
-from .synth_data import LabeledSet, generate, generate_at, load_labeled_set, save_labeled_set
+from .serialize import ArtifactError, write_csv
+from .surrogate import TrainingDiverged, init_net, load_net, predict, save_net, train
+from .synth_data import generate, generate_at, load_labeled_set, save_labeled_set
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -113,17 +114,13 @@ def _train(cfg: RunConfig, use_al: bool, auto: bool) -> None:
         val_rng = substream(cfg.seed, "al-val")
         X_val = val_rng.random((cfg.al.val_size, spec.J))
         val_set = generate_at(spec, draws, X_val)
-        from .surrogate import init_net
-
         net = init_net(net_cfg)
         net, hist = train(net, train_set, val_set, cfg.al.intra_patience,
                           cfg.al.max_epochs)
         save_net(net, man, blob)
-        lines = ["epoch,train_loss,val_loss"]
-        for e, (tl, vl) in enumerate(zip(hist.train_loss, hist.val_loss), start=1):
-            lines.append(f"{e},{tl:.17g},{vl:.17g}")
-        hist_path.parent.mkdir(parents=True, exist_ok=True)
-        hist_path.write_text("\n".join(lines) + "\n")
+        write_csv(hist_path, "epoch,train_loss,val_loss",
+                  (f"{e},{tl:.17g},{vl:.17g}" for e, (tl, vl)
+                   in enumerate(zip(hist.train_loss, hist.val_loss), start=1)))
         print(f"training: {hist.epochs_run} epochs, dataset size {len(train_set)}, "
               f"best val loss = {hist.best_val_loss:.6g}")
     print(f"net -> {man.parent}")
@@ -131,13 +128,25 @@ def _train(cfg: RunConfig, use_al: bool, auto: bool) -> None:
 
 def _predict(cfg: RunConfig, engine: str, mode: str, x_csv, auto: bool) -> None:
     if x_csv is not None:
-        X = np.loadtxt(x_csv, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            # a header-only file is reported below as having no rows
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                X = np.loadtxt(x_csv, delimiter=",", skiprows=1, ndmin=2)
+            except ValueError as e:
+                raise ConfigError(f"cannot read input rows from {x_csv}: {e}") from e
     else:
         data_dir = cfg.artifacts / "data"
         if not (data_dir / "X.csv").exists():
             raise ArtifactError(
                 f"no input rows: pass --x-csv or generate {data_dir}/X.csv with gen-data")
         X = load_labeled_set(data_dir).X
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise ConfigError(f"input has no rows (shape {X.shape})")
+    if X.shape[1] != cfg.spec.J:
+        raise ConfigError(f"model expects {cfg.spec.J} columns, input has {X.shape[1]}")
+    if not np.all(np.isfinite(X)):
+        raise ConfigError("input holds non-finite values")
     out_path = cfg.artifacts / "predictions.csv"
     if engine == "bm":
         draws = _load_posterior_or_fit(cfg, auto)
@@ -148,9 +157,9 @@ def _predict(cfg: RunConfig, engine: str, mode: str, x_csv, auto: bool) -> None:
               f"on {result.threads_used} threads")
     else:
         net = _load_net_or_train(cfg, auto)
-        if net.config.input_dim != X.shape[1]:
-            raise ConfigError(f"net expects {net.config.input_dim} columns, "
-                              f"input has {X.shape[1]}")
+        if net.config.input_dim != cfg.spec.J:
+            raise ArtifactError(f"stored net expects {net.config.input_dim} inputs, "
+                                f"model has J={cfg.spec.J}")
         preds = predict(net, X)
         if mode == "mean":
             preds = preds.mean(axis=1)

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .active_learning import ALConfig
 from .bench import InvarianceConfig
 from .model_core import ModelSpec
 from .posterior import SamplerConfig
+from .surrogate import NetConfig
 from .synth_data import DataGenConfig
 
 WORKDIR_ENV = "SURROGATE_FORGE_WORKDIR"
@@ -26,32 +27,29 @@ class ConfigError(Exception):
     """Raised for unreadable, malformed, or invalid configuration."""
 
 
-_SECTION_KEYS = {
-    "model": {"J", "link", "prior_alpha_mean", "prior_alpha_var",
-              "prior_beta_mean", "prior_beta_var", "prior_gamma_mean",
-              "prior_gamma_var", "prior_sigma2_scale", "n_observed",
-              "truth_sigma2"},
-    "sampler": {"warmup", "samples", "step_size", "leapfrog_steps",
-                "target_accept"},
-    "datagen": {"I", "tau", "input_dist"},
-    "net": {"hidden_width", "dropout_rate", "norm", "activation",
-            "learning_rate", "batch_size", "optimizer"},
-    "al": {"I_init", "I_al", "K", "pool_size", "inter_patience",
-           "intra_patience", "val_size", "tau", "input_dist", "max_rounds",
-           "max_epochs"},
-    "invariance": {"j", "tau_values", "c_values", "n_mc", "grid_points",
-                   "train_size", "val_size", "intra_patience", "max_epochs"},
-    "bench": {"J_list", "M", "N_test", "n_observed", "reps", "warmup",
-              "calibration_pool", "calibration_K"},
-    "paths": {"workdir", "artifacts"},
-}
-_TOP_KEYS = set(_SECTION_KEYS) | {"seed", "threads"}
-
 _BENCH_DEFAULTS = {"J_list": [2, 5, 10, 20], "M": 200, "N_test": 5000,
                    "n_observed": 1000, "reps": 5, "warmup": 500,
                    "calibration_pool": 2000, "calibration_K": 50}
 _INV_EXTRA_DEFAULTS = {"train_size": 10000, "val_size": 2000,
                        "intra_patience": 20, "max_epochs": 200}
+
+
+def _fields(cls, *skip) -> set:
+    """Config keys of a dataclass section: its fields minus the derived seed."""
+    return {f.name for f in fields(cls)} - {"seed", *skip}
+
+
+_SECTION_KEYS = {
+    "model": _fields(ModelSpec) | {"n_observed", "truth_sigma2"},
+    "sampler": _fields(SamplerConfig),
+    "datagen": _fields(DataGenConfig),
+    "net": _fields(NetConfig, "input_dim", "output_dim"),
+    "al": _fields(ALConfig),
+    "invariance": _fields(InvarianceConfig) | set(_INV_EXTRA_DEFAULTS),
+    "bench": set(_BENCH_DEFAULTS),
+    "paths": {"workdir", "artifacts"},
+}
+_TOP_KEYS = set(_SECTION_KEYS) | {"seed", "threads"}
 
 
 @dataclass
@@ -168,9 +166,7 @@ def load_config(path=None, *, seed=None, threads=None, out=None) -> RunConfig:
                      seed=root_seed, threads=n_threads)
 
 
-def build_net_config(cfg: RunConfig, input_dim: int, output_dim: int):
-    from .surrogate import NetConfig
-
+def build_net_config(cfg: RunConfig, input_dim: int, output_dim: int) -> NetConfig:
     try:
         return NetConfig(input_dim=input_dim, output_dim=output_dim,
                          seed=cfg.seed, **cfg.net_kwargs)

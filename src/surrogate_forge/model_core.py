@@ -6,7 +6,8 @@ The model for a single example x in R^J is
 
 with Gaussian priors on alpha, beta, gamma and a half-Gaussian prior on
 sigma2. psi is a per-feature link; sqrt and log1p are applied to |z| so the
-family is total on Gaussian inputs.
+family is total on Gaussian inputs. The log posterior that HMC samples is
+defined once, next to the sampler, in posterior._make_target.
 """
 
 from __future__ import annotations
@@ -161,91 +162,3 @@ def generate_observed(
     if truth.draw.sigma2 > 0:
         y = y + rng.standard_normal(N) * math.sqrt(truth.draw.sigma2)
     return X, y
-
-
-def log_likelihood(spec: ModelSpec, draw: ParamDraw, X: np.ndarray, y: np.ndarray) -> float:
-    """Gaussian log-likelihood sum_n log N(y_n | f(x_n), sigma2), constants included."""
-    if draw.sigma2 <= 0:
-        raise ValueError("sigma2 must be > 0 for the likelihood")
-    y = np.asarray(y, dtype=float)
-    f = eval_mean_batch(spec, draw, X)
-    if f.shape != y.shape:
-        raise ValueError("X and y row counts differ")
-    n = y.shape[0]
-    resid = y - f
-    return float(
-        -0.5 * n * math.log(2.0 * math.pi * draw.sigma2)
-        - np.sum(resid * resid) / (2.0 * draw.sigma2)
-    )
-
-
-def _gauss_logpdf(x: np.ndarray, mean: float, var: float) -> float:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return float(
-        -0.5 * x.size * math.log(2.0 * math.pi * var)
-        - np.sum((x - mean) ** 2) / (2.0 * var)
-    )
-
-
-def log_prior(spec: ModelSpec, draw: ParamDraw) -> float:
-    """Log prior density over (alpha, beta, gamma, log sigma2).
-
-    sigma2 carries a half-Gaussian prior; the value is expressed on the
-    unconstrained log-sigma2 scale, so the log-Jacobian log(sigma2) is
-    included.
-    """
-    if draw.sigma2 <= 0:
-        raise ValueError("sigma2 must be > 0")
-    lp = _gauss_logpdf(draw.alpha, spec.prior_alpha_mean, spec.prior_alpha_var)
-    lp += _gauss_logpdf(draw.beta, spec.prior_beta_mean, spec.prior_beta_var)
-    lp += _gauss_logpdf(np.array([draw.gamma]), spec.prior_gamma_mean, spec.prior_gamma_var)
-    s = spec.prior_sigma2_scale
-    lp += (
-        math.log(2.0) - math.log(s) - 0.5 * math.log(2.0 * math.pi)
-        - draw.sigma2**2 / (2.0 * s**2)
-    )
-    lp += math.log(draw.sigma2)  # Jacobian of sigma2 = exp(theta)
-    return float(lp)
-
-
-def log_posterior(spec: ModelSpec, draw: ParamDraw, X: np.ndarray, y: np.ndarray) -> float:
-    """Unnormalized log posterior log p(y | X, draw) + log p(draw).
-
-    Evaluated in the sampler's unconstrained parameterization (sigma2 on the
-    log scale, Jacobian included in the prior term).
-    """
-    _check_draw(spec, draw)
-    y = np.asarray(y, dtype=float)
-    if y.size == 0:
-        return log_prior(spec, draw)
-    return log_likelihood(spec, draw, X, y) + log_prior(spec, draw)
-
-
-# Canned two-predictor demo setup: priors and a pre-set ground truth. Its
-# structural equation differs from this family (alpha plays another role
-# there), so this is data for reference, not a runnable ModelSpec.
-SIMPLE_BM_PRESET: dict = {
-    "name": "simple-bm",
-    "priors": {
-        "alpha_mean": (15.0, 15.0),
-        "alpha_sd": 15.0,
-        "beta_mean": (1.0, 1.0),
-        "beta_sd": 1.0,
-        "sigma": ("gamma", 1.0, 1.0),
-    },
-    "ground_truth": {
-        "alpha": (40.0, 4.0),
-        "beta": (0.9, 0.5),
-        "sigma": 0.5,
-    },
-    "early_stopping_patience": {"intra": 20, "inter": 10},
-}
-
-PRESETS = {"simple-bm": SIMPLE_BM_PRESET}
-
-
-def get_preset(name: str) -> dict:
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise KeyError(f"unknown preset {name!r}; known: {sorted(PRESETS)}") from None

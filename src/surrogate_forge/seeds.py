@@ -11,22 +11,6 @@ import hashlib
 
 import numpy as np
 
-STREAMS = (
-    "bm-truth",
-    "bm-data",
-    "mcmc",
-    "data-gen",
-    "nn-init",
-    "nn-dropout",
-    "nn-shuffle",
-    "al-pool",
-    "al-score",
-    "al-acquire",
-    "al-val",
-    "inv-val",
-    "bench",
-)
-
 
 def _name_key(name: str) -> int:
     digest = hashlib.sha256(name.encode("utf-8")).digest()

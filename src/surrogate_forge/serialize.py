@@ -8,7 +8,6 @@ versions.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -80,5 +79,8 @@ def read_blob(path: str | Path, layout: list[dict]) -> list[np.ndarray]:
     return arrays
 
 
-def artifact_missing(*paths: str | Path) -> bool:
-    return any(not os.path.exists(p) for p in paths)
+def write_csv(path: str | Path, header: str, lines) -> None:
+    """Write a header line and the given rows, one per line, newline-terminated."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text("\n".join([header, *lines]) + "\n")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -229,25 +228,6 @@ def _backward(net: SurrogateNet, cache: dict, dOut: np.ndarray) -> dict:
     return grads
 
 
-def forward(net: SurrogateNet, x, mode: str = "eval",
-            rng: Optional[np.random.Generator] = None) -> np.ndarray:
-    """Single-input forward pass. Train mode applies inverted dropout."""
-    if mode not in ("train", "eval"):
-        raise ValueError("mode must be 'train' or 'eval'")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (net.config.input_dim,):
-        raise ValueError(f"x must have shape ({net.config.input_dim},)")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    if mode == "train":
-        if rng is None and net.config.dropout_rate > 0.0:
-            raise ValueError("train-mode forward with dropout needs an rng")
-        out, _ = _forward_batch(net, x[None, :], dropout_rng=rng)
-    else:
-        out, _ = _forward_batch(net, x[None, :])
-    return out[0]
-
-
 def predict(net: SurrogateNet, X) -> np.ndarray:
     """Deterministic eval-mode predictions for a batch; shape (N, M)."""
     X = np.asarray(X, dtype=float)
@@ -257,16 +237,19 @@ def predict(net: SurrogateNet, X) -> np.ndarray:
     return out
 
 
+def _smooth_l1_terms(d: np.ndarray) -> np.ndarray:
+    """Elementwise smooth-L1 of a difference d: 0.5 d^2 for |d| < 1, |d| - 0.5 otherwise."""
+    ad = np.abs(d)
+    return np.where(ad < 1.0, 0.5 * d * d, ad - 0.5)
+
+
 def smooth_l1(y, y_hat) -> float:
-    """Mean over elements of 0.5 d^2 for |d| < 1, |d| - 0.5 otherwise."""
+    """Mean over elements of the smooth-L1 terms of y_hat - y."""
     y = np.asarray(y, dtype=float)
     y_hat = np.asarray(y_hat, dtype=float)
     if y.shape != y_hat.shape:
         raise ValueError("y and y_hat must have equal shapes")
-    d = y_hat - y
-    ad = np.abs(d)
-    z = np.where(ad < 1.0, 0.5 * d * d, ad - 0.5)
-    return float(np.mean(z))
+    return float(np.mean(_smooth_l1_terms(y_hat - y)))
 
 
 def smooth_l1_grad(y, y_hat) -> np.ndarray:
@@ -288,7 +271,7 @@ class EarlyStopper:
         self.best_snapshot = baseline_snapshot
 
     def update(self, loss: float, net: SurrogateNet) -> bool:
-        """Record one epoch result; returns True when training should stop."""
+        """Record one epoch (or AL round) result; returns True when to stop."""
         if loss < self.best_loss:
             self.best_loss = float(loss)
             self.epochs_since_best = 0
@@ -347,9 +330,7 @@ def eval_loss(net: SurrogateNet, X, Y, chunk: int = 4096) -> float:
         Xb = X[lo:lo + chunk]
         Yb = Y[lo:lo + chunk]
         out, _ = _forward_batch(net, Xb)
-        d = out - Yb
-        ad = np.abs(d)
-        z = np.where(ad < 1.0, 0.5 * d * d, ad - 0.5)
+        z = _smooth_l1_terms(out - Yb)
         total += float(np.sum(z))
         count += z.size
     return total / count
@@ -395,17 +376,14 @@ def train(net: SurrogateNet, train_set, val_set, patience: int,
             Yb = Ytr[idx]
             out, cache = _forward_batch(net, Xb, dropout_rng=dropout_rng,
                                         use_batch_stats=True)
-            d = out - Yb
-            ad = np.abs(d)
-            z = np.where(ad < 1.0, 0.5 * d * d, ad - 0.5)
+            z = _smooth_l1_terms(out - Yb)
             batch_loss = float(np.mean(z))
             if not math.isfinite(batch_loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {epoch}, batch starting {lo}")
             z_total += float(np.sum(z))
             n_total += z.size
-            dOut = np.clip(d, -1.0, 1.0) / d.size
-            grads = _backward(net, cache, dOut)
+            grads = _backward(net, cache, smooth_l1_grad(Yb, out))
             opt.step(net, grads)
             if cfg.norm == "batch" and cache.get("used_batch_stats"):
                 B = Xb.shape[0]
@@ -433,7 +411,7 @@ def train(net: SurrogateNet, train_set, val_set, patience: int,
 
 def grad_check(net: SurrogateNet, x, y, h: float = 1e-5) -> float:
     """Max relative error between analytic and central-difference gradients
-    of smooth_l1(y, forward(x)) over every trainable parameter. Dropout off."""
+    of smooth_l1(y, net(x)) over every trainable parameter. Dropout off."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     X = x[None, :]

@@ -19,7 +19,7 @@ from surrogate_forge.cli import EXIT_OK, main as cli_main
 from surrogate_forge.config import WORKDIR_ENV
 from surrogate_forge.posterior import effective_sample_size
 
-from conftest import make_draws, tile_draws
+from draw_sets import make_draws, tile_draws
 
 
 @pytest.fixture

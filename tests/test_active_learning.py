@@ -28,7 +28,7 @@ from surrogate_forge.active_learning import (
 from surrogate_forge.seeds import substream
 from surrogate_forge.surrogate import eval_loss
 
-from conftest import make_draws
+from draw_sets import make_draws
 
 
 class TestALConfig:
@@ -220,6 +220,17 @@ class TestCalibration:
                                           rng=np.random.default_rng(1))
         assert sigma.shape == mu_rmse.shape == (7,)
         assert np.all(sigma >= 0) and np.all(mu_rmse >= 0)
+
+    def test_sigma_is_the_acquisition_uncertainty(self, spec3, draws3):
+        # same pool, K and rng seed: calibration reports exactly the sigma
+        # that acquisition scores
+        net = init_net(NetConfig(input_dim=3, hidden_width=8,
+                                 output_dim=len(draws3), dropout_rate=0.5, seed=2))
+        X_pool = np.random.default_rng(5).random((6, 3))
+        sigma, _ = calibration_data(net, spec3, draws3, X_pool, K=4,
+                                    rng=np.random.default_rng(9))
+        want = uncertainty(net, X_pool, 4, np.random.default_rng(9))
+        np.testing.assert_array_equal(sigma, want)
 
 
 class TestCsvOutputs:

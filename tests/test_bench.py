@@ -30,7 +30,7 @@ from surrogate_forge import (
 from surrogate_forge.model_core import TRUTH_ALPHA_RANGE, TRUTH_GAMMA_RANGE
 from surrogate_forge.serialize import read_manifest
 
-from conftest import make_draws
+from draw_sets import make_draws
 
 
 class TestCrossover:

@@ -12,7 +12,7 @@ from surrogate_forge import (
 )
 from surrogate_forge.bm_predict import export_predictions_csv
 
-from conftest import make_draws, tile_draws
+from draw_sets import make_draws, tile_draws
 
 
 class TestPredictDraws:

@@ -213,6 +213,37 @@ class TestPredict:
         assert run(["predict", "--x-csv", path, "--config", tiny_cfg]) == EXIT_CONFIG
         assert "columns" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("engine", ["bm", "nn"])
+    @pytest.mark.parametrize("body", [
+        "x_0,x_1\n0.1,0.2\n0.3,0.4\n",           # 2 columns for J = 3
+        "x_0,x_1,x_2\n0.1,0.2,0.3\nnan,0.5,0.6\n",  # non-finite row
+        "x_0,x_1,x_2\n",                          # header only
+        "x_0,x_1,x_2\n0.1,abc,0.3\n",             # not a number
+    ], ids=["two_columns", "nan_row", "header_only", "not_a_number"])
+    def test_bad_input_rows_exit_2(self, tmp_path, capsys, engine, body):
+        doc = dict(TINY, model=dict(TINY["model"], J=3),
+                   paths={"workdir": str(tmp_path), "artifacts": "arts"})
+        cfg_path = tmp_path / "run3.json"
+        cfg_path.write_text(json.dumps(doc))
+        xp = tmp_path / "bad.csv"
+        xp.write_text(body)
+        assert run(["predict", "--engine", engine, "--x-csv", xp,
+                    "--config", cfg_path, "--auto"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not (tmp_path / "arts" / "predictions.csv").exists()
+
+    def test_net_of_other_width_is_an_artifact_error(self, tiny_cfg, tmp_path, capsys):
+        assert run(["train", "--config", tiny_cfg, "--auto"]) == EXIT_OK
+        doc = json.loads(tiny_cfg.read_text())
+        doc["model"]["J"] = 3
+        cfg3 = tmp_path / "run3.json"
+        cfg3.write_text(json.dumps(doc))
+        xp = tmp_path / "x3.csv"
+        xp.write_text("x_0,x_1,x_2\n0.1,0.2,0.3\n")
+        assert run(["predict", "--x-csv", xp, "--config", cfg3]) == EXIT_MISSING
+        assert "stored net" in capsys.readouterr().err
+
     def test_missing_x_csv_file(self, tiny_cfg, tmp_path):
         assert run(["predict", "--engine", "bm", "--x-csv", tmp_path / "nope.csv",
                     "--config", tiny_cfg, "--auto"]) == EXIT_MISSING

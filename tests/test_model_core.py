@@ -11,12 +11,8 @@ from surrogate_forge import (
     eval_mean,
     eval_mean_batch,
     generate_observed,
-    get_preset,
     link_apply,
     link_deriv,
-    log_likelihood,
-    log_posterior,
-    log_prior,
     sample_ground_truth,
 )
 from surrogate_forge.model_core import (
@@ -25,6 +21,7 @@ from surrogate_forge.model_core import (
     TRUTH_GAMMA_RANGE,
     VALID_LINKS,
 )
+from surrogate_forge.posterior import _make_target
 
 
 def _reference_link(kind, z):
@@ -184,12 +181,35 @@ class TestGroundTruth:
             generate_observed(spec3, truth, 0, np.random.default_rng(3))
 
 
+def _logp(spec, draw, X, y):
+    """The HMC target's log density at q = [alpha, beta, gamma, log sigma2]."""
+    _, logp_and_grad, _ = _make_target(spec, X, y, None, None)
+    q = np.concatenate([draw.alpha, draw.beta, [draw.gamma, math.log(draw.sigma2)]])
+    return logp_and_grad(q)[0]
+
+
+def _no_data(J):
+    return np.zeros((0, J)), np.zeros(0)
+
+
 class TestDensities:
+    """The sampler's target is the one definition of the log posterior."""
+
     def _draw(self, rng, J=3):
         return ParamDraw(alpha=rng.uniform(0.3, 3, J), beta=rng.uniform(0.1, 1, J),
                          gamma=float(rng.uniform(-0.5, 0.5)), sigma2=0.05)
 
+    def _scipy_prior(self, draw):
+        from scipy.stats import halfnorm, norm
+
+        return (norm.logpdf(draw.alpha, 1.5, 1.0).sum()
+                + norm.logpdf(draw.beta, 0.5, 0.5).sum()
+                + norm.logpdf(draw.gamma, 0.0, math.sqrt(0.5))
+                + halfnorm.logpdf(draw.sigma2, scale=1.0)
+                + math.log(draw.sigma2))  # log-scale Jacobian
+
     def test_log_likelihood_matches_reference(self, spec3):
+        # data term = target on the data minus target on no data
         rng = np.random.default_rng(11)
         draw = self._draw(rng)
         X = rng.standard_normal((30, 3))
@@ -198,69 +218,54 @@ class TestDensities:
         want = sum(
             -0.5 * math.log(2 * math.pi * draw.sigma2) - r * r / (2 * draw.sigma2)
             for r in resid)
-        assert math.isclose(log_likelihood(spec3, draw, X, y), want, rel_tol=1e-12)
-
-    def test_log_likelihood_doubles_exactly_for_duplicated_point(self):
-        # power-of-two scaling commutes with rounding, so one observation
-        # duplicated must give exactly twice the log-likelihood
-        spec = ModelSpec(J=2, link="identity")
-        draw = ParamDraw(alpha=np.array([1.5, 0.5]), beta=np.array([0.25, 0.75]),
-                         gamma=0.125, sigma2=0.25)
-        X = np.array([[0.5, 1.25]])
-        y = np.array([0.375])
-        one = log_likelihood(spec, draw, X, y)
-        two = log_likelihood(spec, draw, np.vstack([X, X]), np.concatenate([y, y]))
-        assert two == 2.0 * one
+        got = _logp(spec3, draw, X, y) - _logp(spec3, draw, *_no_data(3))
+        assert math.isclose(got, want, rel_tol=1e-12)
 
     def test_log_likelihood_additive_over_blocks(self, spec3):
         rng = np.random.default_rng(12)
         draw = self._draw(rng)
         X = rng.standard_normal((40, 3))
         y = rng.standard_normal(40)
-        whole = log_likelihood(spec3, draw, X, y)
-        parts = (log_likelihood(spec3, draw, X[:17], y[:17])
-                 + log_likelihood(spec3, draw, X[17:], y[17:]))
+        prior = _logp(spec3, draw, *_no_data(3))
+        whole = _logp(spec3, draw, X, y) - prior
+        parts = ((_logp(spec3, draw, X[:17], y[:17]) - prior)
+                 + (_logp(spec3, draw, X[17:], y[17:]) - prior))
         assert math.isclose(whole, parts, rel_tol=1e-12)
 
     def test_log_prior_matches_scipy(self, spec3):
-        from scipy.stats import halfnorm, norm
-
         rng = np.random.default_rng(13)
         draw = self._draw(rng)
-        want = (norm.logpdf(draw.alpha, 1.5, 1.0).sum()
-                + norm.logpdf(draw.beta, 0.5, 0.5).sum()
-                + norm.logpdf(draw.gamma, 0.0, math.sqrt(0.5))
-                + halfnorm.logpdf(draw.sigma2, scale=1.0)
-                + math.log(draw.sigma2))  # log-scale Jacobian
-        assert math.isclose(log_prior(spec3, draw), want, rel_tol=1e-12)
+        assert math.isclose(_logp(spec3, draw, *_no_data(3)), self._scipy_prior(draw),
+                            rel_tol=1e-12)
 
-    def test_log_posterior_is_likelihood_plus_prior(self, spec3):
+    def test_log_posterior_is_likelihood_plus_prior(self):
+        from scipy.stats import norm
+
         rng = np.random.default_rng(14)
         draw = self._draw(rng)
         X = rng.standard_normal((25, 3))
         y = rng.standard_normal(25)
-        assert log_posterior(spec3, draw, X, y) == pytest.approx(
-            log_likelihood(spec3, draw, X, y) + log_prior(spec3, draw), rel=1e-14)
+        for link in VALID_LINKS:
+            spec = ModelSpec(J=3, link=link)
+            f = eval_mean_batch(spec, draw, X)
+            want = (norm.logpdf(y, f, math.sqrt(draw.sigma2)).sum()
+                    + self._scipy_prior(draw))
+            assert math.isclose(_logp(spec, draw, X, y), want, rel_tol=1e-12), link
 
-    def test_log_posterior_empty_data_is_prior(self, spec3):
-        rng = np.random.default_rng(15)
-        draw = self._draw(rng)
-        got = log_posterior(spec3, draw, np.zeros((0, 3)), np.zeros(0))
-        assert got == log_prior(spec3, draw)
+    def test_log_posterior_empty_data_is_prior(self):
+        # with no data the link plays no part and the target is the prior
+        draw = self._draw(np.random.default_rng(15))
+        want = self._scipy_prior(draw)
+        for link in VALID_LINKS:
+            got = _logp(ModelSpec(J=3, link=link), draw, *_no_data(3))
+            assert math.isclose(got, want, rel_tol=1e-12), link
 
     def test_sigma2_must_be_positive(self, spec3):
-        draw = ParamDraw(alpha=np.ones(3), beta=np.ones(3), gamma=0.0, sigma2=0.0)
-        with pytest.raises(ValueError):
-            log_likelihood(spec3, draw, np.zeros((1, 3)), np.zeros(1))
-        with pytest.raises(ValueError):
-            log_prior(spec3, draw)
-
-
-class TestPresets:
-    def test_known_preset_is_complete(self):
-        preset = get_preset("simple-bm")
-        assert isinstance(preset, dict) and preset
-
-    def test_unknown_preset_rejected(self):
-        with pytest.raises(KeyError):
-            get_preset("missing-preset")
+        X, y = np.zeros((1, 3)), np.zeros(1)
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                _make_target(spec3, X, y, None, bad)
+        # log sigma2 = -inf puts sigma2 at 0, outside the support
+        _, logp_and_grad, _ = _make_target(spec3, X, y, None, None)
+        lp, grad = logp_and_grad(np.array([1.0] * 6 + [0.0, -np.inf]))
+        assert lp == -np.inf and np.all(grad == 0.0)

@@ -15,8 +15,10 @@ from surrogate_forge import (
     sample_posterior,
     save_posterior,
 )
+from surrogate_forge.model_core import VALID_LINKS
+from surrogate_forge.posterior import _make_target
 
-from conftest import make_draws
+from draw_sets import make_draws
 
 
 class TestConjugateOracle:
@@ -110,6 +112,25 @@ class TestRunHmc:
         cfg = SamplerConfig(warmup=10, samples=5, seed=0)
         with pytest.raises(SamplerInitError):
             run_hmc(bad, np.zeros(1), cfg, np.random.default_rng(0))
+
+
+class TestTargetGradient:
+    @pytest.mark.parametrize("link", VALID_LINKS)
+    def test_gradient_matches_central_differences(self, link):
+        # alpha and sigma2 free, so the link_deriv and log-sigma2 terms count
+        spec = ModelSpec(J=3, link=link)
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((40, 3))
+        y = rng.standard_normal(40)
+        _, logp_and_grad, _ = _make_target(spec, X, y, None, None)
+        q = np.concatenate([rng.uniform(0.3, 3.0, 3), rng.uniform(0.1, 1.0, 3),
+                            [0.2, math.log(0.3)]])
+        _, grad = logp_and_grad(q)
+        h = 1e-6
+        for k, e in enumerate(np.eye(q.size)):
+            numeric = (logp_and_grad(q + h * e)[0] - logp_and_grad(q - h * e)[0]) / (2 * h)
+            err = abs(numeric - grad[k]) / max(abs(numeric), abs(grad[k]))
+            assert err < 1e-6, (link, k, numeric, grad[k])
 
 
 class TestSamplerConfig:

@@ -6,10 +6,10 @@ import pytest
 from surrogate_forge.serialize import (
     FORMAT_VERSION,
     ArtifactError,
-    artifact_missing,
     read_blob,
     read_manifest,
     write_blob,
+    write_csv,
     write_manifest,
 )
 
@@ -89,8 +89,9 @@ def test_blob_missing_file(tmp_path):
         read_blob(tmp_path / "absent.f64", [{"shape": [1], "offset": 0}])
 
 
-def test_artifact_missing(tmp_path):
-    present = tmp_path / "here.txt"
-    present.write_text("x")
-    assert not artifact_missing(present)
-    assert artifact_missing(present, tmp_path / "gone.txt")
+def test_write_csv_layout(tmp_path):
+    path = tmp_path / "new" / "dir" / "t.csv"
+    write_csv(path, "a,b", (f"{i},{i * i}" for i in range(3)))
+    assert path.read_text() == "a,b\n0,0\n1,1\n2,4\n"
+    write_csv(path, "a,b", [])
+    assert path.read_text() == "a,b\n"

@@ -9,7 +9,6 @@ from surrogate_forge import (
     NetConfig,
     SurrogateNet,
     TrainingDiverged,
-    forward,
     grad_check,
     init_net,
     load_net,
@@ -140,22 +139,11 @@ class TestForward:
         out = predict(net, np.random.default_rng(0).random((5, 2)))
         np.testing.assert_array_equal(out, np.tile(net.b2, (5, 1)))
 
-    def test_single_input_wrapper_matches_batch(self):
-        net = manual_net(tiny_cfg(norm="layer"))
-        x = np.array([0.7, -0.3])
-        np.testing.assert_array_equal(forward(net, x), predict(net, x[None, :])[0])
-
     def test_eval_equals_train_without_dropout(self):
         net = manual_net(tiny_cfg(dropout_rate=0.0))
-        x = np.array([0.7, -0.3])
-        np.testing.assert_array_equal(
-            forward(net, x, mode="train", rng=np.random.default_rng(0)),
-            forward(net, x, mode="eval"))
-
-    def test_train_mode_with_dropout_needs_rng(self):
-        net = manual_net(tiny_cfg(dropout_rate=0.5))
-        with pytest.raises(ValueError):
-            forward(net, np.array([0.1, 0.2]), mode="train")
+        X = np.array([[0.7, -0.3], [0.1, 0.4]])
+        out, _ = _forward_batch(net, X, dropout_rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(out, predict(net, X))
 
     def test_forward_never_mutates_net(self):
         net = init_net(tiny_cfg(norm="batch", dropout_rate=0.5))
@@ -168,20 +156,14 @@ class TestForward:
         for name in before:
             np.testing.assert_array_equal(before[name], after[name])
 
-    def test_nonfinite_input_rejected(self):
-        net = manual_net(tiny_cfg())
-        with pytest.raises(ValueError):
-            forward(net, np.array([np.nan, 0.0]))
-
     def test_inverted_dropout_preserves_expectation(self):
         cfg = tiny_cfg(input_dim=3, hidden_width=64, output_dim=1,
                        dropout_rate=0.5, norm="none")
         net = init_net(cfg)
         x = np.array([0.4, -0.2, 0.9])
-        rng = np.random.default_rng(7)
-        outs = np.array([forward(net, x, mode="train", rng=rng)[0]
-                         for _ in range(4000)])
-        assert abs(outs.mean() - forward(net, x)[0]) < 5 * outs.std() / math.sqrt(len(outs))
+        outs = mc_dropout_predict(net, x, K=4000, rng=np.random.default_rng(7))[0]
+        mean = predict(net, x[None, :])[0, 0]
+        assert abs(outs.mean() - mean) < 5 * outs.std() / math.sqrt(len(outs))
 
 
 class TestSmoothL1:
@@ -425,7 +407,7 @@ class TestMcDropout:
         out = mc_dropout_predict(net, x, K=5, rng=np.random.default_rng(0))
         for k in range(1, 5):
             np.testing.assert_array_equal(out[:, k], out[:, 0])
-        np.testing.assert_array_equal(out[:, 0], forward(net, x))
+        np.testing.assert_array_equal(out[:, 0], predict(net, x[None, :])[0])
 
     def test_requires_at_least_two_passes(self):
         net = init_net(tiny_cfg(dropout_rate=0.5))

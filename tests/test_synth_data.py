@@ -13,7 +13,7 @@ from surrogate_forge import (
     save_labeled_set,
 )
 
-from conftest import make_draws
+from draw_sets import make_draws
 
 
 class TestDataGenConfig:
