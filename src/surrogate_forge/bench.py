@@ -214,12 +214,12 @@ class InvarianceResult:
 
 
 def run_invariance_suite(spec: ModelSpec, draws: PosteriorDraws,
-                         inv_cfg: InvarianceConfig, net_cfgs: dict, *,
+                         inv_cfg: InvarianceConfig, net_cfg: NetConfig, *,
                          train_size: int = 10000, val_size: int = 2000,
                          intra_patience: int = 20, max_epochs: int = 200,
                          seed: int = 0, out_dir=None) -> InvarianceResult:
-    """Train one surrogate per tau on equal-sized sets, then compare every
-    net's effect curves against the reference predictor's.
+    """Train one surrogate per tau from net_cfg on equal-sized sets, then
+    compare every net's effect curves against the reference predictor's.
 
     curves keys: (name, mode, c) with name 'bm' or 'tau<value>'; c is None
     for marginalized mode. summary keys: (tau, mode, c) -> max abs gap
@@ -227,9 +227,6 @@ def run_invariance_suite(spec: ModelSpec, draws: PosteriorDraws,
     """
     if inv_cfg.j >= spec.J:
         raise ValueError("inv_cfg.j must be < spec.J")
-    missing = [t for t in inv_cfg.tau_values if t not in net_cfgs]
-    if missing:
-        raise ValueError(f"net_cfgs missing tau values: {missing}")
 
     grid = inv_cfg.grid()
     j = inv_cfg.j
@@ -255,7 +252,7 @@ def run_invariance_suite(spec: ModelSpec, draws: PosteriorDraws,
         dcfg = DataGenConfig(I=train_size, tau=tau, input_dist="uniform01",
                              seed=derive_seed(seed, f"inv-data-{tau}"))
         dset = generate(spec, draws, dcfg)
-        net = init_net(net_cfgs[tau])
+        net = init_net(net_cfg)
         net, _ = train(net, dset, val_set, intra_patience, max_epochs)
 
         def net_predictor(X, net=net):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 import warnings
 from pathlib import Path
@@ -23,7 +22,7 @@ from .config import ConfigError, RunConfig, build_net_config, load_config
 from .model_core import generate_observed, sample_ground_truth
 from .posterior import SamplerInitError, load_posterior, sample_posterior, save_posterior
 from .seeds import substream
-from .serialize import ArtifactError, write_csv
+from .serialize import ArtifactError, read_manifest, write_csv, write_manifest
 from .surrogate import TrainingDiverged, init_net, load_net, predict, save_net, train
 from .synth_data import generate, generate_at, load_labeled_set, save_labeled_set
 
@@ -55,14 +54,12 @@ def _fit_bm(cfg: RunConfig) -> None:
     save_posterior(draws, man, blob)
     diag = dict(draws.diagnostics)
     diag["ess"] = [float(v) for v in diag.get("ess", [])]
-    diag_path = man.parent / "diagnostics.json"
-    diag_path.write_text(json.dumps(diag, indent=2, sort_keys=True) + "\n")
-    truth_path = man.parent / "truth.json"
-    truth_path.write_text(json.dumps({
+    write_manifest(man.parent / "diagnostics.json", "sampler_diagnostics", diag)
+    write_manifest(man.parent / "truth.json", "ground_truth", {
         "alpha": list(truth.draw.alpha), "beta": list(truth.draw.beta),
         "gamma": truth.draw.gamma, "sigma2": truth.draw.sigma2,
         "J": spec.J, "link": spec.link, "n_observed": cfg.n_observed,
-    }, indent=2, sort_keys=True) + "\n")
+    })
     print(f"posterior: {len(draws)} draws -> {man.parent}")
     for w in draws.diagnostics.get("warnings", []):
         print(f"warning: {w}", file=sys.stderr)
@@ -137,9 +134,9 @@ def _predict(cfg: RunConfig, engine: str, mode: str, x_csv, auto: bool) -> None:
                 raise ConfigError(f"cannot read input rows from {x_csv}: {e}") from e
     else:
         data_dir = cfg.artifacts / "data"
-        if not (data_dir / "X.csv").exists():
+        if not (data_dir / "manifest.json").exists():
             raise ArtifactError(
-                f"no input rows: pass --x-csv or generate {data_dir}/X.csv with gen-data")
+                f"no input rows: pass --x-csv or generate {data_dir}/manifest.json with gen-data")
         X = load_labeled_set(data_dir).X
     if X.ndim != 2 or X.shape[0] == 0:
         raise ConfigError(f"input has no rows (shape {X.shape})")
@@ -172,9 +169,9 @@ def _merge_report(cfg: RunConfig, key: str, payload) -> Path:
     out = cfg.artifacts / "bench" / "report.json"
     doc = {}
     if out.exists():
-        doc = json.loads(out.read_text())
-        doc.pop("format_version", None)
-        doc.pop("kind", None)
+        doc = read_manifest(out, "bench_report")
+        doc.pop("format_version")
+        doc.pop("kind")
     doc[key] = payload
     bench_mod.write_report_json(out, doc)
     return out
@@ -230,11 +227,9 @@ def _bench_invariance(cfg: RunConfig, auto: bool) -> None:
     draws = _load_posterior_or_fit(cfg, auto)
     inv = cfg.invariance
     extra = cfg.inv_extra
-    net_cfgs = {}
-    for tau in inv.tau_values:
-        net_cfgs[tau] = build_net_config(cfg, cfg.spec.J, len(draws))
+    net_cfg = build_net_config(cfg, cfg.spec.J, len(draws))
     result = bench_mod.run_invariance_suite(
-        cfg.spec, draws, inv, net_cfgs, train_size=extra["train_size"],
+        cfg.spec, draws, inv, net_cfg, train_size=extra["train_size"],
         val_size=extra["val_size"], intra_patience=extra["intra_patience"],
         max_epochs=extra["max_epochs"], seed=cfg.seed,
         out_dir=cfg.artifacts / "bench")

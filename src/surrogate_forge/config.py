@@ -32,6 +32,11 @@ _BENCH_DEFAULTS = {"J_list": [2, 5, 10, 20], "M": 200, "N_test": 5000,
                    "calibration_pool": 2000, "calibration_K": 50}
 _INV_EXTRA_DEFAULTS = {"train_size": 10000, "val_size": 2000,
                        "intra_patience": 20, "max_epochs": 200}
+# smallest value of every integer key of the bench section and the invariance
+# extras: a rank correlation needs two rows, a dropout σ two passes
+_INT_MINIMUMS = {"M": 1, "N_test": 1, "n_observed": 1, "reps": 1, "warmup": 0,
+                 "calibration_pool": 2, "calibration_K": 2,
+                 "train_size": 1, "val_size": 1, "intra_patience": 1, "max_epochs": 1}
 
 
 def _fields(cls, *skip) -> set:
@@ -86,6 +91,11 @@ def _section(doc: dict, name: str) -> dict:
     return dict(raw)
 
 
+def _check_int(name: str, value, low: int) -> None:
+    if not isinstance(value, int) or value < low:
+        raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def load_config(path=None, *, seed=None, threads=None, out=None) -> RunConfig:
     """Build a RunConfig from a JSON file plus CLI overrides.
 
@@ -119,8 +129,7 @@ def load_config(path=None, *, seed=None, threads=None, out=None) -> RunConfig:
     n_threads = doc.get("threads", os.cpu_count() or 1)
     if threads is not None:
         n_threads = threads
-    if not isinstance(n_threads, int) or n_threads < 1:
-        raise ConfigError("threads must be a positive integer")
+    _check_int("threads", n_threads, 1)
 
     model_raw = _section(doc, "model")
     n_observed = model_raw.pop("n_observed", 1000)
@@ -142,13 +151,21 @@ def load_config(path=None, *, seed=None, threads=None, out=None) -> RunConfig:
         invariance = InvarianceConfig(**inv_raw)
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from e
-    if not isinstance(n_observed, int) or n_observed < 1:
-        raise ConfigError("model.n_observed must be a positive integer")
-    if not truth_sigma2 >= 0:
-        raise ConfigError("model.truth_sigma2 must be >= 0")
+    _check_int("model.n_observed", n_observed, 1)
+    if not isinstance(truth_sigma2, (int, float)) or not truth_sigma2 >= 0:
+        raise ConfigError("model.truth_sigma2 must be a number >= 0")
 
     bench = dict(_BENCH_DEFAULTS)
     bench.update(_section(doc, "bench"))
+    J_list = bench["J_list"]
+    if not isinstance(J_list, list) or not J_list:
+        raise ConfigError(f"bench.J_list must be a nonempty list of integers, got {J_list!r}")
+    for J in J_list:
+        _check_int("bench.J_list entry", J, 1)
+    for section, values in (("bench", bench), ("invariance", inv_extra)):
+        for key, value in values.items():
+            if key != "J_list":
+                _check_int(f"{section}.{key}", value, _INT_MINIMUMS[key])
 
     paths = _section(doc, "paths")
     workdir = os.environ.get(WORKDIR_ENV) or paths.get("workdir", ".")

@@ -9,7 +9,7 @@ clean validation set, and snapshot-restore of the best parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -108,13 +108,6 @@ class SurrogateNet:
     def restore(self, snap: dict) -> None:
         for n in self.param_names() + self.state_names():
             setattr(self, n, snap[n].copy())
-
-    def copy(self) -> "SurrogateNet":
-        snap = self.snapshot()
-        return SurrogateNet(self.config, snap["W1"], snap["b1"], snap["W2"], snap["b2"],
-                            gain=snap.get("gain"), bias=snap.get("bias"),
-                            running_mean=snap.get("running_mean"),
-                            running_var=snap.get("running_var"))
 
 
 def init_net(config: NetConfig) -> SurrogateNet:
@@ -467,17 +460,8 @@ def save_net(net: SurrogateNet, manifest_path, blob_path) -> None:
     arrays = [getattr(net, n) for n in names]
     layout = write_blob(blob_path, arrays)
     entries = [{"name": n, **rec} for n, rec in zip(names, layout)]
-    cfg = net.config
     write_manifest(manifest_path, "surrogate_net", {
-        "config": {
-            "input_dim": cfg.input_dim, "hidden_width": cfg.hidden_width,
-            "output_dim": cfg.output_dim, "dropout_rate": cfg.dropout_rate,
-            "norm": cfg.norm, "activation": cfg.activation,
-            "learning_rate": cfg.learning_rate, "batch_size": cfg.batch_size,
-            "seed": cfg.seed, "optimizer": cfg.optimizer,
-        },
-        "parameters": entries,
-    })
+        "config": asdict(net.config), "parameters": entries})
 
 
 def load_net(manifest_path, blob_path) -> SurrogateNet:

@@ -7,7 +7,6 @@ the per-draw expectation vector from the reference predictor.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,9 +16,10 @@ from .bm_predict import predict_batch
 from .model_core import ModelSpec
 from .posterior import PosteriorDraws
 from .seeds import substream
-from .serialize import ArtifactError
+from .serialize import ArtifactError, read_blob, read_manifest, write_blob, write_manifest
 
 INPUT_DISTS = ("uniform01", "standard_gaussian")
+_META_KEYS = ("I", "J", "M", "tau", "seed", "input_dist")
 
 
 @dataclass(frozen=True)
@@ -93,30 +93,19 @@ def generate_at(spec: ModelSpec, draws: PosteriorDraws, X_fixed) -> LabeledSet:
 
 
 def save_labeled_set(ls: LabeledSet, directory) -> None:
+    """Write manifest.json (dims, provenance, blob layout) and data.f64 (X then Y)."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    J = ls.X.shape[1]
-    M = ls.Y.shape[1]
-    x_header = ",".join(f"x_{j}" for j in range(J))
-    y_header = ",".join(f"y_{m}" for m in range(M))
-    np.savetxt(directory / "X.csv", ls.X, fmt="%.17g", delimiter=",",
-               header=x_header, comments="")
-    np.savetxt(directory / "Y.csv", ls.Y, fmt="%.17g", delimiter=",",
-               header=y_header, comments="")
-    sidecar = {"I": len(ls), "J": J, "M": M}
-    for key in ("tau", "seed", "input_dist"):
-        sidecar[key] = ls.meta.get(key)
-    (directory / "meta.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    layout = write_blob(directory / "data.f64", [ls.X, ls.Y])
+    meta = {k: ls.meta.get(k) for k in _META_KEYS}
+    meta.update(I=len(ls), J=ls.X.shape[1], M=ls.Y.shape[1])
+    write_manifest(directory / "manifest.json", "labeled_set", {**meta, "layout": layout})
 
 
 def load_labeled_set(directory) -> LabeledSet:
     directory = Path(directory)
-    meta_path = directory / "meta.json"
-    if not meta_path.exists():
-        raise ArtifactError(f"labeled set sidecar not found: {meta_path}")
-    meta = json.loads(meta_path.read_text())
-    X = np.loadtxt(directory / "X.csv", delimiter=",", skiprows=1, ndmin=2)
-    Y = np.loadtxt(directory / "Y.csv", delimiter=",", skiprows=1, ndmin=2)
+    doc = read_manifest(directory / "manifest.json", "labeled_set")
+    meta = {k: doc[k] for k in _META_KEYS}
+    X, Y = read_blob(directory / "data.f64", doc["layout"])
     if X.shape != (meta["I"], meta["J"]) or Y.shape != (meta["I"], meta["M"]):
-        raise ArtifactError("labeled set files disagree with sidecar dimensions")
+        raise ArtifactError("labeled set blob layout disagrees with manifest dimensions")
     return LabeledSet(X, Y, meta)

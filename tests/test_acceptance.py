@@ -243,7 +243,7 @@ def test_10_masking_teaches_weak_predictor_effects(criterion):
                                 dropout_rate=0.5, learning_rate=3e-3,
                                 batch_size=256, seed=rep_seed)
             res = sf.run_invariance_suite(
-                spec, draws, inv, {0.8: ncfg, 1.0: ncfg}, train_size=12000,
+                spec, draws, inv, ncfg, train_size=12000,
                 val_size=1500, intra_patience=12, max_epochs=150, seed=rep_seed)
             return res.summary[(0.8, "fixed", 0.0)] < res.summary[(1.0, "fixed", 0.0)]
 

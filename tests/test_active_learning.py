@@ -28,7 +28,6 @@ from surrogate_forge.active_learning import (
 from surrogate_forge.seeds import substream
 from surrogate_forge.surrogate import eval_loss
 
-from draw_sets import make_draws
 
 
 class TestALConfig:

@@ -18,7 +18,6 @@ from surrogate_forge import (
     SamplerConfig,
     crossover,
     effect_curve,
-    eval_mean,
     make_weak_truth,
     run_invariance_suite,
     run_speed_sweep,
@@ -203,10 +202,10 @@ class TestInvarianceConfig:
             InvarianceConfig(**kw)
 
 
-def _tiny_net_cfg(J, tau_seed):
+def _tiny_net_cfg(J):
     return NetConfig(input_dim=J, hidden_width=8, output_dim=4,
                      dropout_rate=0.0, norm="none", learning_rate=1e-2,
-                     batch_size=16, seed=tau_seed)
+                     batch_size=16)
 
 
 class TestInvarianceSuite:
@@ -214,8 +213,7 @@ class TestInvarianceSuite:
         draws = make_draws(spec2_identity, 4, seed=2)
         inv = InvarianceConfig(j=0, tau_values=(0.5, 1.0), c_values=(0.0,),
                                n_mc=8, grid_points=5)
-        cfgs = {0.5: _tiny_net_cfg(2, 0), 1.0: _tiny_net_cfg(2, 1)}
-        res = run_invariance_suite(spec2_identity, draws, inv, cfgs,
+        res = run_invariance_suite(spec2_identity, draws, inv, _tiny_net_cfg(2),
                                    train_size=64, val_size=16,
                                    intra_patience=2, max_epochs=2, seed=9,
                                    out_dir=tmp_path)
@@ -237,15 +235,7 @@ class TestInvarianceSuite:
         draws = make_draws(spec2_identity, 4, seed=2)
         inv = InvarianceConfig(j=2, tau_values=(1.0,), c_values=(0.0,), n_mc=4)
         with pytest.raises(ValueError):
-            run_invariance_suite(spec2_identity, draws, inv,
-                                 {1.0: _tiny_net_cfg(2, 0)})
-
-    def test_rejects_missing_net_config(self, spec2_identity):
-        draws = make_draws(spec2_identity, 4, seed=2)
-        inv = InvarianceConfig(j=0, tau_values=(0.8, 1.0), c_values=(0.0,), n_mc=4)
-        with pytest.raises(ValueError, match="0.8"):
-            run_invariance_suite(spec2_identity, draws, inv,
-                                 {1.0: _tiny_net_cfg(2, 0)})
+            run_invariance_suite(spec2_identity, draws, inv, _tiny_net_cfg(2))
 
 
 class TestTimingRegression:

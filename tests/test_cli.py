@@ -18,6 +18,7 @@ from surrogate_forge.cli import (
 from surrogate_forge.config import WORKDIR_ENV
 from surrogate_forge.posterior import SamplerInitError
 from surrogate_forge.surrogate import TrainingDiverged
+from surrogate_forge.synth_data import load_labeled_set
 
 TINY = {
     "seed": 11,
@@ -129,10 +130,10 @@ class TestGenData:
         arts = tmp_path / "arts"
         assert (arts / "posterior" / "draws.f64").exists()
         data = arts / "data"
-        for name in ("X.csv", "Y.csv", "meta.json"):
-            assert (data / name).exists()
-        X = np.loadtxt(data / "X.csv", delimiter=",", skiprows=1)
-        assert X.shape == (64, 2)
+        assert sorted(f.name for f in data.iterdir()) == ["data.f64", "manifest.json"]
+        ls = load_labeled_set(data)
+        assert ls.X.shape == (64, 2)
+        assert ls.Y.shape == (64, TINY["sampler"]["samples"])
 
 
 class TestTrain:
@@ -251,7 +252,15 @@ class TestPredict:
     def test_no_inputs_at_all(self, tiny_cfg, capsys):
         assert run(["predict", "--engine", "bm", "--config", tiny_cfg,
                     "--auto"]) == EXIT_MISSING
-        assert "x-csv" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "x-csv" in err and "manifest.json" in err
+
+    def test_default_inputs_are_the_generated_set(self, tiny_cfg, tmp_path):
+        assert run(["gen-data", "--config", tiny_cfg, "--auto"]) == EXIT_OK
+        assert run(["predict", "--engine", "bm", "--config", tiny_cfg]) == EXIT_OK
+        body = np.loadtxt(tmp_path / "arts" / "predictions.csv", delimiter=",", skiprows=1)
+        X = load_labeled_set(tmp_path / "arts" / "data").X
+        np.testing.assert_array_equal(body[:, :2], X)
 
 
 class TestBench:

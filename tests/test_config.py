@@ -142,6 +142,11 @@ class TestRejection:
         {"datagen": {"tau": 0.0}},
         {"al": {"K": 1}},
         {"invariance": {"grid_points": 1}},
+        {"model": {"truth_sigma2": "a"}},
+        {"bench": {"J_list": [0]}},
+        {"bench": {"J_list": "ab"}},
+        {"bench": {"calibration_K": 1}},
+        {"invariance": {"val_size": 0}},
     ])
     def test_bad_values_raise_config_error(self, tmp_path, doc):
         path = write_cfg(tmp_path, doc)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,8 +13,7 @@ from surrogate_forge import (
     predict_batch,
     save_labeled_set,
 )
-
-from draw_sets import make_draws
+from surrogate_forge.serialize import FORMAT_VERSION, ArtifactError
 
 
 class TestDataGenConfig:
@@ -107,25 +107,50 @@ class TestLabeledSet:
 
 
 class TestPersistence:
+    def _saved(self, tmp_path, spec3, draws3):
+        ls = generate(spec3, draws3, DataGenConfig(I=30, tau=0.8, seed=2))
+        save_labeled_set(ls, tmp_path / "data")
+        return ls, tmp_path / "data"
+
+    def _edit_manifest(self, directory, **changes):
+        path = directory / "manifest.json"
+        doc = json.loads(path.read_text())
+        doc.update(changes)
+        path.write_text(json.dumps(doc))
+
+    def test_writes_only_manifest_and_blob(self, tmp_path, spec3, draws3):
+        _, d = self._saved(tmp_path, spec3, draws3)
+        assert sorted(f.name for f in d.iterdir()) == ["data.f64", "manifest.json"]
+        assert (d / "data.f64").stat().st_size == 30 * (3 + len(draws3)) * 8
+
     def test_round_trip_bitwise(self, tmp_path, spec3, draws3):
-        ls = generate(spec3, draws3, DataGenConfig(I=30, tau=0.8, seed=2))
-        save_labeled_set(ls, tmp_path / "data")
-        back = load_labeled_set(tmp_path / "data")
-        np.testing.assert_array_equal(back.X, ls.X)
-        np.testing.assert_array_equal(back.Y, ls.Y)
-        assert back.meta["tau"] == 0.8
-        assert back.meta["I"] == 30
+        ls, d = self._saved(tmp_path, spec3, draws3)
+        back = load_labeled_set(d)
+        assert back.X.tobytes() == ls.X.tobytes()
+        assert back.Y.tobytes() == ls.Y.tobytes()
+        assert back.meta == ls.meta
 
-    def test_sidecar_shape_mismatch_detected(self, tmp_path, spec3, draws3):
-        import json
+    def test_dims_mismatch_detected(self, tmp_path, spec3, draws3):
+        _, d = self._saved(tmp_path, spec3, draws3)
+        self._edit_manifest(d, I=29)
+        with pytest.raises(ArtifactError, match="dimensions"):
+            load_labeled_set(d)
 
-        from surrogate_forge.serialize import ArtifactError
+    def test_truncated_blob_detected(self, tmp_path, spec3, draws3):
+        _, d = self._saved(tmp_path, spec3, draws3)
+        blob = d / "data.f64"
+        blob.write_bytes(blob.read_bytes()[:-8])
+        with pytest.raises(ArtifactError, match="truncated"):
+            load_labeled_set(d)
 
-        ls = generate(spec3, draws3, DataGenConfig(I=30, tau=0.8, seed=2))
-        save_labeled_set(ls, tmp_path / "data")
-        meta_path = tmp_path / "data" / "meta.json"
-        doc = json.loads(meta_path.read_text())
-        doc["I"] = 29
-        meta_path.write_text(json.dumps(doc))
-        with pytest.raises(ArtifactError):
-            load_labeled_set(tmp_path / "data")
+    def test_wrong_kind_rejected(self, tmp_path, spec3, draws3):
+        _, d = self._saved(tmp_path, spec3, draws3)
+        self._edit_manifest(d, kind="posterior")
+        with pytest.raises(ArtifactError, match="kind"):
+            load_labeled_set(d)
+
+    def test_wrong_format_version_rejected(self, tmp_path, spec3, draws3):
+        _, d = self._saved(tmp_path, spec3, draws3)
+        self._edit_manifest(d, format_version=FORMAT_VERSION + 1)
+        with pytest.raises(ArtifactError, match="format_version"):
+            load_labeled_set(d)
