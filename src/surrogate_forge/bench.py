@@ -56,7 +56,7 @@ def run_speed_sweep(J_list, M: int, N_test: int, net_cfg: NetConfig,
     reference predictions vs timed surrogate forward passes on one test set."""
     if sampler is None:
         sampler = SamplerConfig()
-    rows = []
+    built = []
     for J in sorted(J_list):
         child = derive_seed(seed, f"sweep-j{J}")
         spec = ModelSpec(J=J, link=link)
@@ -71,28 +71,34 @@ def run_speed_sweep(J_list, M: int, N_test: int, net_cfg: NetConfig,
 
         X_test = substream(child, "bench").random((N_test, J))
         labels = predict_batch(spec, draws, X_test)
+        test_mse = float(np.mean((predict(net, X_test) - labels) ** 2))
+        built.append((spec, draws, net, X_test, test_mse, records[-1]))
 
+    # every rep times every J back to back, so a change in machine speed
+    # during the timing falls on all J alike rather than on one J's block
+    for spec, draws, net, X_test, *_ in built:
         predict_batch_timed(spec, draws, X_test, threads)  # warm-up, untimed
-        bm_times = [predict_batch_timed(spec, draws, X_test, threads).wall_time
-                    for _ in range(reps)]
-
-        predict(net, X_test)  # warm-up
-        nn_times = []
-        for _ in range(reps):
+        predict(net, X_test)
+    bm_times = [[] for _ in built]
+    nn_times = [[] for _ in built]
+    for _ in range(reps):
+        for k, (spec, draws, net, X_test, *_) in enumerate(built):
+            bm_times[k].append(predict_batch_timed(spec, draws, X_test, threads).wall_time)
             t0 = time.perf_counter()
-            preds = predict(net, X_test)
-            nn_times.append(time.perf_counter() - t0)
+            predict(net, X_test)
+            nn_times[k].append(time.perf_counter() - t0)
 
-        test_mse = float(np.mean((preds - labels) ** 2))
+    rows = []
+    for (spec, _, _, _, test_mse, last), bm, nn in zip(built, bm_times, nn_times):
         rows.append({
-            "J": J,
-            "bm_time_s": float(np.median(bm_times)),
-            "nn_time_s": float(np.median(nn_times)),
-            "bm_time_min_s": float(np.min(bm_times)),
-            "nn_time_min_s": float(np.min(nn_times)),
+            "J": spec.J,
+            "bm_time_s": float(np.median(bm)),
+            "nn_time_s": float(np.median(nn)),
+            "bm_time_min_s": float(np.min(bm)),
+            "nn_time_min_s": float(np.min(nn)),
             "test_mse": test_mse,
-            "final_dataset_size": records[-1].dataset_size,
-            "al_rounds": records[-1].round,
+            "final_dataset_size": last.dataset_size,
+            "al_rounds": last.round,
         })
     env = {"threads": threads, "precision": "float64", "reps": reps,
            "M": M, "N_test": N_test, "n_observed": n_observed}
@@ -197,6 +203,12 @@ class InvarianceConfig:
             raise ValueError("j must be >= 0")
         if len(self.tau_values) == 0 or len(self.c_values) == 0:
             raise ValueError("tau_values and c_values must be nonempty")
+        for tau in self.tau_values:
+            if not isinstance(tau, (int, float)) or not 0.0 < tau <= 1.0:
+                raise ValueError(f"tau_values entries must be numbers in (0, 1], got {tau!r}")
+        for c in self.c_values:
+            if not isinstance(c, (int, float)) or not math.isfinite(c):
+                raise ValueError(f"c_values entries must be finite numbers, got {c!r}")
         if self.n_mc < 1:
             raise ValueError("n_mc must be >= 1")
         if self.grid_points < 2:

@@ -29,8 +29,9 @@ DEFAULT_TRUTH_SIGMA2 = 0.01
 def link_apply(kind: str, z: np.ndarray) -> np.ndarray:
     """Elementwise link psi(z)."""
     if kind == "sigmoid":
-        # exp(-logaddexp(0, -z)) is the numerically stable logistic.
-        return np.exp(-np.logaddexp(0.0, -z))
+        # for z < -709 exp(-z) overflows to inf and the quotient is the limit 0
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-z))
     if kind == "sine":
         return np.sin(z)
     if kind == "sqrt":
@@ -42,11 +43,15 @@ def link_apply(kind: str, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown link kind: {kind!r}")
 
 
-def link_deriv(kind: str, z: np.ndarray) -> np.ndarray:
-    """Elementwise derivative psi'(z). Subgradient 0 is used at the |.| kink."""
+def link_deriv(kind: str, z: np.ndarray, psi: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise derivative psi'(z). Subgradient 0 is used at the |.| kink.
+
+    psi, when given, must be link_apply(kind, z); sigmoid then takes its
+    derivative from that value instead of recomputing it. Other links ignore it.
+    """
     z = np.asarray(z, dtype=float)
     if kind == "sigmoid":
-        s = link_apply("sigmoid", z)
+        s = link_apply("sigmoid", z) if psi is None else psi
         return s * (1.0 - s)
     if kind == "sine":
         return np.cos(z)

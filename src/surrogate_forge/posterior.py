@@ -133,8 +133,9 @@ def run_hmc(logp_and_grad, q0, cfg: SamplerConfig, rng) -> tuple[np.ndarray, dic
                     pn = pn + step * gn
             else:
                 pn = pn + 0.5 * step * gn
+            # pn @ pn may overflow to inf: an infinite kinetic energy is a rejection
+            h1 = lpn - 0.5 * float(pn @ pn) if np.isfinite(lpn) else -np.inf
 
-        h1 = lpn - 0.5 * float(pn @ pn) if np.isfinite(lpn) else -np.inf
         if np.isfinite(h1):
             accept_prob = min(1.0, math.exp(min(0.0, h1 - h0)))
         else:
@@ -186,20 +187,16 @@ def _make_target(spec: ModelSpec, X, y, fix_alpha, fix_sigma2):
     b_var = spec.prior_beta_var
     g_var = spec.prior_gamma_var
     s_scale = spec.prior_sigma2_scale
+    # offsets of beta and gamma in q and in the gradient
+    b0 = J if free_alpha else 0
+    g0 = b0 + J
 
     def unpack(q):
-        pos = 0
-        if free_alpha:
-            alpha = q[pos:pos + J]
-            pos += J
-        else:
-            alpha = alpha_fixed
-        beta = q[pos:pos + J]
-        pos += J
-        gamma = q[pos]
-        pos += 1
+        alpha = q[:J] if free_alpha else alpha_fixed
+        beta = q[b0:g0]
+        gamma = q[g0]
         if free_sigma:
-            t = q[pos]
+            t = q[g0 + 1]
             sigma2 = math.exp(t) if t < 700 else math.inf
         else:
             t = None
@@ -214,7 +211,7 @@ def _make_target(spec: ModelSpec, X, y, fix_alpha, fix_sigma2):
             return -np.inf, np.zeros_like(q)
         Z = X * alpha
         psi = link_apply(spec.link, Z)
-        f = gamma + np.sum(psi * beta, axis=1)
+        f = gamma + psi @ beta
         r = y - f
         rss = float(r @ r)
 
@@ -230,24 +227,17 @@ def _make_target(spec: ModelSpec, X, y, fix_alpha, fix_sigma2):
             lp += math.log(2.0) - math.log(s_scale) - 0.5 * math.log(2.0 * math.pi) \
                   - sigma2 ** 2 / (2.0 * s_scale ** 2)
             lp += t
-
-        grad_parts = []
-        if free_alpha:
-            dpsi = link_deriv(spec.link, Z)
-            g_alpha = np.sum(r[:, None] * beta * dpsi * X, axis=0) / sigma2
-            g_alpha -= (alpha - spec.prior_alpha_mean) / a_var
-            grad_parts.append(g_alpha)
-        g_beta = np.sum(r[:, None] * psi, axis=0) / sigma2
-        g_beta -= (beta - spec.prior_beta_mean) / b_var
-        grad_parts.append(g_beta)
-        g_gamma = float(np.sum(r)) / sigma2 - (gamma - spec.prior_gamma_mean) / g_var
-        grad_parts.append(np.array([g_gamma]))
-        if free_sigma:
-            g_t = -0.5 * N + rss / (2.0 * sigma2) - sigma2 ** 2 / s_scale ** 2 + 1.0
-            grad_parts.append(np.array([g_t]))
-        grad = np.concatenate(grad_parts)
         if not np.isfinite(lp):
             return -np.inf, np.zeros_like(q)
+
+        grad = np.empty_like(q)
+        if free_alpha:
+            dpsi = link_deriv(spec.link, Z, psi)
+            grad[:J] = beta * (r @ (dpsi * X)) / sigma2 - (alpha - spec.prior_alpha_mean) / a_var
+        grad[b0:g0] = (r @ psi) / sigma2 - (beta - spec.prior_beta_mean) / b_var
+        grad[g0] = float(np.sum(r)) / sigma2 - (gamma - spec.prior_gamma_mean) / g_var
+        if free_sigma:
+            grad[g0 + 1] = -0.5 * N + rss / (2.0 * sigma2) - sigma2 ** 2 / s_scale ** 2 + 1.0
         return lp, grad
 
     return q0, logp_and_grad, unpack
@@ -382,7 +372,10 @@ def load_posterior(manifest_path, blob_path, spec: ModelSpec | None = None) -> P
         raise ArtifactError(
             f"stored posterior has J={J}, link={doc['link']!r}; "
             f"requested J={spec.J}, link={spec.link!r}")
-    (mat,) = read_blob(blob_path, doc["layout"])
+    arrays = read_blob(blob_path, doc["layout"])
+    if len(arrays) != 1:
+        raise ArtifactError(f"posterior layout has {len(arrays)} entries, expected 1")
+    (mat,) = arrays
     if mat.shape != (M, 2 * J + 2):
         raise ArtifactError("posterior blob shape mismatch with manifest")
     diagnostics = {"mean_accept": doc.get("mean_accept"), "warnings": doc.get("warnings", [])}

@@ -63,19 +63,25 @@ def write_blob(path: str | Path, arrays: list[np.ndarray]) -> list[dict]:
 
 
 def read_blob(path: str | Path, layout: list[dict]) -> list[np.ndarray]:
+    """Arrays of a blob whose layout records tile it back to back, as write_blob wrote it."""
     path = Path(path)
     if not path.exists():
         raise ArtifactError(f"blob not found: {path}")
     raw = path.read_bytes()
     arrays = []
+    end = 0
     for rec in layout:
         shape = tuple(int(s) for s in rec["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = int(rec["offset"])
+        if start != end:
+            raise ArtifactError(f"blob {path} layout has offset {start} where {end} was expected")
         end = start + count * 8
         if end > len(raw):
             raise ArtifactError(f"blob {path} truncated: need {end} bytes, have {len(raw)}")
         arrays.append(np.frombuffer(raw[start:end], dtype="<f8").reshape(shape).copy())
+    if end != len(raw):
+        raise ArtifactError(f"blob {path} has {len(raw)} bytes; its layout covers {end}")
     return arrays
 
 

@@ -105,7 +105,10 @@ def load_labeled_set(directory) -> LabeledSet:
     directory = Path(directory)
     doc = read_manifest(directory / "manifest.json", "labeled_set")
     meta = {k: doc[k] for k in _META_KEYS}
-    X, Y = read_blob(directory / "data.f64", doc["layout"])
+    arrays = read_blob(directory / "data.f64", doc["layout"])
+    if len(arrays) != 2:
+        raise ArtifactError(f"labeled set layout has {len(arrays)} entries, expected 2 (X, Y)")
+    X, Y = arrays
     if X.shape != (meta["I"], meta["J"]) or Y.shape != (meta["I"], meta["M"]):
         raise ArtifactError("labeled set blob layout disagrees with manifest dimensions")
     return LabeledSet(X, Y, meta)

@@ -262,6 +262,15 @@ class TestPredict:
         X = load_labeled_set(tmp_path / "arts" / "data").X
         np.testing.assert_array_equal(body[:, :2], X)
 
+    def test_one_entry_data_layout_exits_5(self, tiny_cfg, tmp_path, capsys):
+        assert run(["gen-data", "--config", tiny_cfg, "--auto"]) == EXIT_OK
+        manifest = tmp_path / "arts" / "data" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["layout"] = [{"shape": [doc["I"], doc["J"] + doc["M"]], "offset": 0}]
+        manifest.write_text(json.dumps(doc))
+        assert run(["predict", "--engine", "bm", "--config", tiny_cfg]) == EXIT_MISSING
+        assert "entries" in capsys.readouterr().err
+
 
 class TestBench:
     def test_speed_requires_net_or_auto(self, tiny_cfg, capsys):

@@ -147,6 +147,8 @@ class TestRejection:
         {"bench": {"J_list": "ab"}},
         {"bench": {"calibration_K": 1}},
         {"invariance": {"val_size": 0}},
+        {"invariance": {"tau_values": ["a"]}},
+        {"invariance": {"c_values": ["b"]}},
     ])
     def test_bad_values_raise_config_error(self, tmp_path, doc):
         path = write_cfg(tmp_path, doc)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -68,6 +69,21 @@ class TestLinks:
             got = link_deriv(kind, z)
             want = (link_apply(kind, z + h) - link_apply(kind, z - h)) / (2 * h)
             np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-9)
+
+    def test_derivative_from_value_is_bitwise_equal(self):
+        z = np.random.default_rng(3).normal(scale=5.0, size=(200, 4))
+        for kind in VALID_LINKS:
+            from_value = link_deriv(kind, z, link_apply(kind, z))
+            assert from_value.tobytes() == link_deriv(kind, z).tobytes(), kind
+
+    def test_sigmoid_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide = link_apply("sigmoid", np.array([-800.0, 800.0]))
+            at_zero = link_apply("sigmoid", np.array(0.0))
+            link_deriv("sigmoid", np.array([-800.0, 800.0]), wide)
+        np.testing.assert_array_equal(wide, [0.0, 1.0])
+        assert at_zero == 0.5 and np.ndim(at_zero) == 0
 
     def test_unknown_link_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from surrogate_forge import (
     sample_posterior,
     save_posterior,
 )
-from surrogate_forge.model_core import VALID_LINKS
+import surrogate_forge.posterior as posterior_module
+from surrogate_forge.model_core import VALID_LINKS, ParamDraw, eval_mean_batch
 from surrogate_forge.posterior import _make_target
 
 from draw_sets import make_draws
@@ -105,6 +108,45 @@ class TestRunHmc:
         _, info = run_hmc(self._std_normal, np.zeros(1), cfg, np.random.default_rng(0))
         assert info["step_size"] == 0.035
 
+    def test_kinetic_energy_overflow_is_a_silent_rejection(self):
+        # flat target with a finite but huge gradient: pn @ pn overflows to inf
+        def steep(q):
+            return 0.0, np.full_like(q, 1e200)
+
+        cfg = SamplerConfig(warmup=5, samples=20, step_size=0.1, seed=0)
+        q0 = np.array([0.25, -0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws, info = run_hmc(steep, q0, cfg, np.random.default_rng(0))
+        assert np.all(draws == q0)
+        assert info["mean_accept"] == 0.0
+
+    def test_one_link_call_per_gradient_evaluation(self, monkeypatch):
+        calls = {"link": 0, "evals": 0}
+        link_apply = posterior_module.link_apply
+
+        def counting_link(kind, z):
+            calls["link"] += 1
+            return link_apply(kind, z)
+
+        monkeypatch.setattr(posterior_module, "link_apply", counting_link)
+        spec = ModelSpec(J=3)
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((50, 3))
+        y = rng.standard_normal(50)
+        # sigma2 pinned: a free one can leave the 1e150 cap, where the target
+        # returns before evaluating the link
+        q0, logp_and_grad, _ = _make_target(spec, X, y, None, 0.5)
+
+        def counted(q):
+            calls["evals"] += 1
+            return logp_and_grad(q)
+
+        cfg = SamplerConfig(warmup=10, samples=10, leapfrog_steps=5, seed=0)
+        run_hmc(counted, q0, cfg, np.random.default_rng(0))
+        assert calls["evals"] > 0
+        assert calls["link"] == calls["evals"]
+
     def test_nonfinite_start_raises(self):
         def bad(q):
             return -math.inf, np.zeros_like(q)
@@ -112,6 +154,15 @@ class TestRunHmc:
         cfg = SamplerConfig(warmup=10, samples=5, seed=0)
         with pytest.raises(SamplerInitError):
             run_hmc(bad, np.zeros(1), cfg, np.random.default_rng(0))
+
+
+def _assert_gradient_matches_differences(logp_and_grad, q, link):
+    _, grad = logp_and_grad(q)
+    h = 1e-6
+    for k, e in enumerate(np.eye(q.size)):
+        numeric = (logp_and_grad(q + h * e)[0] - logp_and_grad(q - h * e)[0]) / (2 * h)
+        err = abs(numeric - grad[k]) / max(abs(numeric), abs(grad[k]))
+        assert err < 1e-6, (link, k, numeric, grad[k])
 
 
 class TestTargetGradient:
@@ -125,12 +176,32 @@ class TestTargetGradient:
         _, logp_and_grad, _ = _make_target(spec, X, y, None, None)
         q = np.concatenate([rng.uniform(0.3, 3.0, 3), rng.uniform(0.1, 1.0, 3),
                             [0.2, math.log(0.3)]])
-        _, grad = logp_and_grad(q)
-        h = 1e-6
-        for k, e in enumerate(np.eye(q.size)):
-            numeric = (logp_and_grad(q + h * e)[0] - logp_and_grad(q - h * e)[0]) / (2 * h)
-            err = abs(numeric - grad[k]) / max(abs(numeric), abs(grad[k]))
-            assert err < 1e-6, (link, k, numeric, grad[k])
+        _assert_gradient_matches_differences(logp_and_grad, q, link)
+
+    @pytest.mark.parametrize("link", VALID_LINKS)
+    def test_target_at_benchmark_size_matches_scipy_and_differences(self, link):
+        # the fit workload's size: J = 10, N = 1000
+        from scipy.stats import halfnorm, norm
+
+        J, N = 10, 1000
+        spec = ModelSpec(J=J, link=link)
+        rng = np.random.default_rng(22)
+        X = rng.standard_normal((N, J))
+        draw = ParamDraw(alpha=rng.uniform(0.3, 3.0, J), beta=rng.uniform(0.1, 1.0, J),
+                         gamma=0.2, sigma2=0.3)
+        # data from the model keeps the residuals, and so the cancellation in
+        # the differences, at the noise scale
+        f = eval_mean_batch(spec, draw, X)
+        y = f + rng.standard_normal(N)
+        _, logp_and_grad, _ = _make_target(spec, X, y, None, None)
+        q = np.concatenate([draw.alpha, draw.beta, [draw.gamma, math.log(draw.sigma2)]])
+        want = (norm.logpdf(y, f, math.sqrt(draw.sigma2)).sum()
+                + norm.logpdf(draw.alpha, 1.5, 1.0).sum()
+                + norm.logpdf(draw.beta, 0.5, 0.5).sum()
+                + norm.logpdf(draw.gamma, 0.0, math.sqrt(0.5))
+                + halfnorm.logpdf(draw.sigma2, scale=1.0) + math.log(draw.sigma2))
+        assert math.isclose(logp_and_grad(q)[0], want, rel_tol=1e-12)
+        _assert_gradient_matches_differences(logp_and_grad, q, link)
 
 
 class TestSamplerConfig:
@@ -286,6 +357,19 @@ class TestPersistence:
         save_posterior(draws3, man, blob)
         with pytest.raises(ArtifactError):
             load_posterior(man, blob, ModelSpec(J=4))
+
+    def test_layout_with_two_entries_rejected(self, tmp_path, draws3):
+        from surrogate_forge.serialize import ArtifactError
+
+        man, blob = tmp_path / "m.json", tmp_path / "d.f64"
+        save_posterior(draws3, man, blob)
+        M, width = len(draws3), 2 * draws3.spec.J + 2
+        doc = json.loads(man.read_text())
+        doc["layout"] = [{"shape": [M, 1], "offset": 0},
+                         {"shape": [M, width - 1], "offset": M * 8}]
+        man.write_text(json.dumps(doc))
+        with pytest.raises(ArtifactError, match="entries"):
+            load_posterior(man, blob)
 
     def test_saved_bytes_are_deterministic(self, tmp_path, spec3):
         draws = make_draws(spec3, M=6, seed=1)

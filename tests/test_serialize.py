@@ -84,6 +84,22 @@ def test_blob_truncation_detected(tmp_path):
         read_blob(path, layout)
 
 
+def test_blob_trailing_bytes_detected(tmp_path):
+    path = tmp_path / "d.f64"
+    layout = write_blob(path, [np.ones(10)])
+    path.write_bytes(path.read_bytes() + bytes(64))
+    with pytest.raises(ArtifactError, match="covers"):
+        read_blob(path, layout)
+
+
+def test_blob_layout_with_a_gap_detected(tmp_path):
+    path = tmp_path / "d.f64"
+    write_blob(path, [np.ones(10)])
+    layout = [{"shape": [4], "offset": 0}, {"shape": [5], "offset": 40}]
+    with pytest.raises(ArtifactError, match="offset"):
+        read_blob(path, layout)
+
+
 def test_blob_missing_file(tmp_path):
     with pytest.raises(ArtifactError):
         read_blob(tmp_path / "absent.f64", [{"shape": [1], "offset": 0}])

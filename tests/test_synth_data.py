@@ -143,6 +143,20 @@ class TestPersistence:
         with pytest.raises(ArtifactError, match="truncated"):
             load_labeled_set(d)
 
+    def test_trailing_blob_bytes_detected(self, tmp_path, spec3, draws3):
+        _, d = self._saved(tmp_path, spec3, draws3)
+        blob = d / "data.f64"
+        blob.write_bytes(blob.read_bytes() + bytes(64))
+        with pytest.raises(ArtifactError, match="covers"):
+            load_labeled_set(d)
+
+    def test_layout_with_one_entry_rejected(self, tmp_path, spec3, draws3):
+        # one entry spanning the whole blob: read_blob accepts it, the loader must not
+        _, d = self._saved(tmp_path, spec3, draws3)
+        self._edit_manifest(d, layout=[{"shape": [30, 3 + len(draws3)], "offset": 0}])
+        with pytest.raises(ArtifactError, match="entries"):
+            load_labeled_set(d)
+
     def test_wrong_kind_rejected(self, tmp_path, spec3, draws3):
         _, d = self._saved(tmp_path, spec3, draws3)
         self._edit_manifest(d, kind="posterior")
