@@ -7,8 +7,6 @@ active learning.
 
 from .active_learning import (
     ALConfig,
-    RoundRecord,
-    UncertaintyReport,
     acquire,
     acquisition_probs,
     al_train,
@@ -20,7 +18,6 @@ from .bench import (
     BenchReport,
     EffectCurve,
     InvarianceConfig,
-    InvarianceResult,
     crossover,
     effect_curve,
     make_weak_truth,
@@ -28,11 +25,9 @@ from .bench import (
     run_speed_sweep,
     timing_regression,
     write_effect_csv,
-    write_report_json,
     write_speed_csv,
 )
 from .bm_predict import (
-    TimedBatchResult,
     predict_batch,
     predict_batch_timed,
     predict_draws,
@@ -40,7 +35,6 @@ from .bm_predict import (
 )
 from .config import ConfigError, RunConfig, load_config
 from .model_core import (
-    GroundTruth,
     ModelSpec,
     ParamDraw,
     eval_mean,
@@ -61,12 +55,10 @@ from .posterior import (
     sample_posterior,
     save_posterior,
 )
-from .seeds import derive_seed, substream
+from .seeds import substream
 from .surrogate import (
-    EarlyStopper,
     NetConfig,
     SurrogateNet,
-    TrainHistory,
     TrainingDiverged,
     grad_check,
     init_net,

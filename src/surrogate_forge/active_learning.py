@@ -52,20 +52,6 @@ class ALConfig:
 
 
 @dataclass
-class UncertaintyReport:
-    sigma: np.ndarray
-    probs: np.ndarray
-
-    def __post_init__(self):
-        self.sigma = np.asarray(self.sigma, dtype=float)
-        self.probs = np.asarray(self.probs, dtype=float)
-        if np.any(self.sigma < 0):
-            raise ValueError("sigma entries must be >= 0")
-        if np.any(self.probs < 0) or abs(self.probs.sum() - 1.0) > 1e-9:
-            raise ValueError("probs must be nonnegative and sum to 1")
-
-
-@dataclass
 class RoundRecord:
     round: int
     dataset_size: int
@@ -116,10 +102,6 @@ def min_final_dataset_size(cfg: ALConfig) -> int:
     return cfg.I_init + cfg.inter_patience * cfg.I_al
 
 
-def _round_train_loss(history) -> float:
-    return history.train_loss[-1] if history.train_loss else float("nan")
-
-
 def al_train(spec: ModelSpec, draws: PosteriorDraws, cfg: ALConfig,
              net_cfg: NetConfig) -> tuple[SurrogateNet, list[RoundRecord]]:
     """Run the full loop; returns the overall-best net and per-round history.
@@ -150,7 +132,7 @@ def al_train(spec: ModelSpec, draws: PosteriorDraws, cfg: ALConfig,
     t0 = time.perf_counter()
     net, hist = train(net, train_set, val_set, cfg.intra_patience, cfg.max_epochs,
                       shuffle_rng=shuffle_rng, dropout_rng=dropout_rng)
-    records.append(RoundRecord(0, len(train_set), _round_train_loss(hist),
+    records.append(RoundRecord(0, len(train_set), hist.train_loss[-1],
                                hist.best_val_loss, time.perf_counter() - t0))
 
     stopper = EarlyStopper(cfg.inter_patience, hist.best_val_loss, net.snapshot())
@@ -159,8 +141,7 @@ def al_train(spec: ModelSpec, draws: PosteriorDraws, cfg: ALConfig,
         t0 = time.perf_counter()
         X_pool = pool_rng.random((cfg.pool_size, spec.J))
         sigma = uncertainty(net, X_pool, cfg.K, score_rng)
-        report = UncertaintyReport(sigma, acquisition_probs(sigma))
-        idx = acquire(report.probs, cfg.I_al, acq_rng)
+        idx = acquire(acquisition_probs(sigma), cfg.I_al, acq_rng)
         acquired = generate_at(spec, draws, X_pool[idx])
         train_set = LabeledSet(
             np.vstack([train_set.X, acquired.X]),
@@ -169,7 +150,7 @@ def al_train(spec: ModelSpec, draws: PosteriorDraws, cfg: ALConfig,
         )
         net, hist = train(net, train_set, val_set, cfg.intra_patience, cfg.max_epochs,
                           shuffle_rng=shuffle_rng, dropout_rng=dropout_rng)
-        records.append(RoundRecord(r, len(train_set), _round_train_loss(hist),
+        records.append(RoundRecord(r, len(train_set), hist.train_loss[-1],
                                    hist.best_val_loss, time.perf_counter() - t0))
         if stopper.update(hist.best_val_loss, net):
             break

@@ -16,7 +16,6 @@ from .bm_predict import predict_batch, predict_batch_timed
 from .model_core import (
     TRUTH_ALPHA_RANGE,
     TRUTH_GAMMA_RANGE,
-    GroundTruth,
     ModelSpec,
     ParamDraw,
     sample_ground_truth,
@@ -26,7 +25,7 @@ from .posterior import PosteriorDraws, SamplerConfig, sample_posterior
 from .seeds import derive_seed, substream
 from .surrogate import NetConfig, init_net, predict, train
 from .synth_data import DataGenConfig, generate, generate_at
-from .serialize import write_csv, write_manifest
+from .serialize import write_csv
 
 
 def crossover(kappa: int, m: int) -> int:
@@ -177,7 +176,7 @@ def effect_curve(predictor, J: int, j: int, x_j_grid, mode: str = "fixed", *,
 
 
 def make_weak_truth(spec: ModelSpec, weak_j: int, rng,
-                    sigma2: float = 0.01) -> GroundTruth:
+                    sigma2: float = 0.01) -> ParamDraw:
     """Ground truth with one deliberately weak predictor: beta at the range
     minimum for weak_j, the range maximum elsewhere."""
     if not 0 <= weak_j < spec.J:
@@ -186,8 +185,7 @@ def make_weak_truth(spec: ModelSpec, weak_j: int, rng,
     alpha = rng.uniform(*TRUTH_ALPHA_RANGE, size=spec.J)
     beta = np.ones(spec.J)
     beta[weak_j] = 0.1
-    return GroundTruth(ParamDraw(alpha=alpha, beta=beta, gamma=float(gamma),
-                                 sigma2=float(sigma2)))
+    return ParamDraw(alpha=alpha, beta=beta, gamma=float(gamma), sigma2=float(sigma2))
 
 
 @dataclass(frozen=True)
@@ -307,7 +305,3 @@ def write_speed_csv(report: BenchReport, path) -> None:
     write_csv(path, "J,bm_time_s,nn_time_s,test_mse,dataset_size",
               (f"{r['J']},{r['bm_time_s']:.6f},{r['nn_time_s']:.6f},"
                f"{r['test_mse']:.17g},{r['final_dataset_size']}" for r in report.rows))
-
-
-def write_report_json(path, payload: dict) -> None:
-    write_manifest(path, "bench_report", payload)

@@ -1,7 +1,7 @@
 """Command-line pipeline orchestrator.
 
 Subcommands: fit-bm, gen-data, train [--al], predict [--engine bm|nn],
-bench <speed|calibration|invariance|crossover>, invariance. Exit codes:
+bench <speed|calibration|invariance|crossover>. Exit codes:
 0 ok, 2 config, 3 sampler, 4 training, 5 missing artifact.
 """
 
@@ -56,8 +56,8 @@ def _fit_bm(cfg: RunConfig) -> None:
     diag["ess"] = [float(v) for v in diag.get("ess", [])]
     write_manifest(man.parent / "diagnostics.json", "sampler_diagnostics", diag)
     write_manifest(man.parent / "truth.json", "ground_truth", {
-        "alpha": list(truth.draw.alpha), "beta": list(truth.draw.beta),
-        "gamma": truth.draw.gamma, "sigma2": truth.draw.sigma2,
+        "alpha": list(truth.alpha), "beta": list(truth.beta),
+        "gamma": truth.gamma, "sigma2": truth.sigma2,
         "J": spec.J, "link": spec.link, "n_observed": cfg.n_observed,
     })
     print(f"posterior: {len(draws)} draws -> {man.parent}")
@@ -169,11 +169,11 @@ def _merge_report(cfg: RunConfig, key: str, payload) -> Path:
     out = cfg.artifacts / "bench" / "report.json"
     doc = {}
     if out.exists():
-        doc = read_manifest(out, "bench_report")
+        doc = read_manifest(out, "bench_report", ())
         doc.pop("format_version")
         doc.pop("kind")
     doc[key] = payload
-    bench_mod.write_report_json(out, doc)
+    write_manifest(out, "bench_report", doc)
     return out
 
 
@@ -242,10 +242,6 @@ def _bench_invariance(cfg: RunConfig, auto: bool) -> None:
     print(f"report -> {path}")
 
 
-def _bench_crossover(kappa: int, m: int) -> None:
-    print(bench_mod.crossover(kappa, m))
-
-
 def main(argv=None) -> int:
     # Global flags are accepted both before and after the subcommand; the
     # subparser copies default to SUPPRESS so they only override when given.
@@ -287,8 +283,6 @@ def main(argv=None) -> int:
                                            "crossover"))
     p_bench.add_argument("--kappa", type=int, default=20000)
     p_bench.add_argument("--m", type=int, default=2000)
-    sub.add_parser("invariance", parents=[common],
-                   help="alias for bench invariance")
 
     args = parser.parse_args(argv)
     # Flags left at SUPPRESS (not given in either position) need their
@@ -300,7 +294,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "bench" and args.suite == "crossover":
-            _bench_crossover(args.kappa, args.m)
+            print(bench_mod.crossover(args.kappa, args.m))
             return EXIT_OK
         cfg = load_config(args.config, seed=args.seed, threads=args.threads,
                           out=args.out)
@@ -316,8 +310,7 @@ def main(argv=None) -> int:
             _bench_speed(cfg, args.auto)
         elif args.command == "bench" and args.suite == "calibration":
             _bench_calibration(cfg, args.auto)
-        elif args.command in ("invariance",) or (
-                args.command == "bench" and args.suite == "invariance"):
+        elif args.command == "bench" and args.suite == "invariance":
             _bench_invariance(cfg, args.auto)
         return EXIT_OK
     except ConfigError as e:

@@ -112,13 +112,6 @@ class ParamDraw:
             raise ValueError("sigma2 must be >= 0")
 
 
-@dataclass
-class GroundTruth:
-    """Pre-sampled true parameters used to generate observed data."""
-
-    draw: ParamDraw
-
-
 def _check_draw(spec: ModelSpec, draw: ParamDraw) -> None:
     if draw.alpha.shape[0] != spec.J:
         raise ValueError(f"draw has J={draw.alpha.shape[0]}, spec has J={spec.J}")
@@ -148,22 +141,22 @@ def eval_mean(spec: ModelSpec, draw: ParamDraw, x: np.ndarray) -> float:
 
 def sample_ground_truth(
     spec: ModelSpec, rng: np.random.Generator, sigma2: float = DEFAULT_TRUTH_SIGMA2
-) -> GroundTruth:
+) -> ParamDraw:
     """Draw true parameters: gamma ~ U(-0.5, 0.5), alpha_j ~ U(0.3, 3), beta_j ~ U(0.1, 1)."""
     gamma = rng.uniform(*TRUTH_GAMMA_RANGE)
     alpha = rng.uniform(*TRUTH_ALPHA_RANGE, size=spec.J)
     beta = rng.uniform(*TRUTH_BETA_RANGE, size=spec.J)
-    return GroundTruth(ParamDraw(alpha=alpha, beta=beta, gamma=float(gamma), sigma2=float(sigma2)))
+    return ParamDraw(alpha=alpha, beta=beta, gamma=float(gamma), sigma2=float(sigma2))
 
 
 def generate_observed(
-    spec: ModelSpec, truth: GroundTruth, N: int, rng: np.random.Generator
+    spec: ModelSpec, truth: ParamDraw, N: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Observed dataset: X iid standard Gaussian, y = f(x) + N(0, sigma2) noise."""
     if N < 1:
         raise ValueError("N must be >= 1")
     X = rng.standard_normal((N, spec.J))
-    y = eval_mean_batch(spec, truth.draw, X)
-    if truth.draw.sigma2 > 0:
-        y = y + rng.standard_normal(N) * math.sqrt(truth.draw.sigma2)
+    y = eval_mean_batch(spec, truth, X)
+    if truth.sigma2 > 0:
+        y = y + rng.standard_normal(N) * math.sqrt(truth.sigma2)
     return X, y

@@ -85,10 +85,6 @@ class PosteriorDraws:
             sigma2=float(self.sigma2[m]),
         )
 
-    def __iter__(self):
-        for m in range(len(self)):
-            yield self[m]
-
 
 def run_hmc(logp_and_grad, q0, cfg: SamplerConfig, rng) -> tuple[np.ndarray, dict]:
     """Generic HMC chain over a differentiable unnormalized log density.
@@ -363,7 +359,7 @@ def save_posterior(draws: PosteriorDraws, manifest_path, blob_path) -> None:
 
 
 def load_posterior(manifest_path, blob_path, spec: ModelSpec | None = None) -> PosteriorDraws:
-    doc = read_manifest(manifest_path, "posterior")
+    doc = read_manifest(manifest_path, "posterior", ("J", "M", "link", "layout"))
     J = int(doc["J"])
     M = int(doc["M"])
     if spec is None:

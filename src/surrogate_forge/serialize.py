@@ -28,7 +28,9 @@ def write_manifest(path: str | Path, kind: str, payload: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def read_manifest(path: str | Path, kind: str) -> dict:
+def read_manifest(path: str | Path, kind: str, keys: tuple[str, ...]) -> dict:
+    """The manifest at path, refused unless it has this build's version, the
+    given kind and every one of the given keys, which are those its caller reads."""
     path = Path(path)
     if not path.exists():
         raise ArtifactError(f"manifest not found: {path}")
@@ -36,6 +38,8 @@ def read_manifest(path: str | Path, kind: str) -> dict:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise ArtifactError(f"manifest {path} is not valid JSON: {e}") from e
+    if not isinstance(doc, dict):
+        raise ArtifactError(f"manifest {path} is not a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ArtifactError(
@@ -44,6 +48,9 @@ def read_manifest(path: str | Path, kind: str) -> dict:
         )
     if doc.get("kind") != kind:
         raise ArtifactError(f"manifest {path} has kind {doc.get('kind')!r}, expected {kind!r}")
+    missing = [k for k in keys if k not in doc]
+    if missing:
+        raise ArtifactError(f"manifest {path} lacks {', '.join(missing)}")
     return doc
 
 
@@ -67,13 +74,15 @@ def read_blob(path: str | Path, layout: list[dict]) -> list[np.ndarray]:
     path = Path(path)
     if not path.exists():
         raise ArtifactError(f"blob not found: {path}")
+    try:
+        records = [(tuple(int(s) for s in rec["shape"]), int(rec["offset"])) for rec in layout]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ArtifactError(f"blob {path} has a malformed layout: {e!r}") from e
     raw = path.read_bytes()
     arrays = []
     end = 0
-    for rec in layout:
-        shape = tuple(int(s) for s in rec["shape"])
+    for shape, start in records:
         count = int(np.prod(shape)) if shape else 1
-        start = int(rec["offset"])
         if start != end:
             raise ArtifactError(f"blob {path} layout has offset {start} where {end} was expected")
         end = start + count * 8

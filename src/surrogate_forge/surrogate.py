@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .seeds import substream
-from .serialize import read_blob, read_manifest, write_blob, write_manifest
+from .serialize import ArtifactError, read_blob, read_manifest, write_blob, write_manifest
 
 NORM_KINDS = ("layer", "batch", "none")
 ACTIVATIONS = ("relu", "tanh")
@@ -278,11 +278,8 @@ class EarlyStopper:
 class TrainHistory:
     train_loss: list = field(default_factory=list)
     val_loss: list = field(default_factory=list)
-    initial_val_loss: float = math.nan
     best_val_loss: float = math.nan
-    best_epoch: int = 0
     epochs_run: int = 0
-    stopped_early: bool = False
 
 
 class _Adam:
@@ -354,9 +351,7 @@ def train(net: SurrogateNet, train_set, val_set, patience: int,
 
     opt = _Adam(net, cfg.learning_rate) if cfg.optimizer == "adam" else _SGD(net, cfg.learning_rate)
     history = TrainHistory()
-    baseline = eval_loss(net, Xval, Yval)
-    history.initial_val_loss = baseline
-    stopper = EarlyStopper(patience, baseline, net.snapshot())
+    stopper = EarlyStopper(patience, eval_loss(net, Xval, Yval), net.snapshot())
 
     I = Xtr.shape[0]
     for epoch in range(1, max_epochs + 1):
@@ -390,11 +385,7 @@ def train(net: SurrogateNet, train_set, val_set, patience: int,
         val = eval_loss(net, Xval, Yval)
         history.val_loss.append(val)
         history.epochs_run = epoch
-        stop = stopper.update(val, net)
-        if val == stopper.best_loss and stopper.epochs_since_best == 0:
-            history.best_epoch = epoch
-        if stop:
-            history.stopped_early = True
+        if stopper.update(val, net):
             break
 
     net.restore(stopper.best_snapshot)
@@ -465,12 +456,16 @@ def save_net(net: SurrogateNet, manifest_path, blob_path) -> None:
 
 
 def load_net(manifest_path, blob_path) -> SurrogateNet:
-    doc = read_manifest(manifest_path, "surrogate_net")
-    cfg = NetConfig(**doc["config"])
+    doc = read_manifest(manifest_path, "surrogate_net", ("config", "parameters"))
     entries = doc["parameters"]
     arrays = read_blob(blob_path, entries)
-    by_name = {e["name"]: a for e, a in zip(entries, arrays)}
-    return SurrogateNet(cfg, by_name["W1"], by_name["b1"], by_name["W2"], by_name["b2"],
-                        gain=by_name.get("gain"), bias=by_name.get("bias"),
-                        running_mean=by_name.get("running_mean"),
-                        running_var=by_name.get("running_var"))
+    names = [e.get("name") for e in entries]
+    try:
+        net = SurrogateNet(NetConfig(**doc["config"]), **dict(zip(names, arrays)))
+    except (TypeError, ValueError) as e:
+        raise ArtifactError(f"net manifest {manifest_path} does not describe a net: {e}") from e
+    expected = net.param_names() + net.state_names()
+    if names != expected:
+        raise ArtifactError(f"net manifest {manifest_path} stores {names}; "
+                            f"its config needs {expected}")
+    return net

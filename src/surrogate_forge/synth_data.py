@@ -103,7 +103,7 @@ def save_labeled_set(ls: LabeledSet, directory) -> None:
 
 def load_labeled_set(directory) -> LabeledSet:
     directory = Path(directory)
-    doc = read_manifest(directory / "manifest.json", "labeled_set")
+    doc = read_manifest(directory / "manifest.json", "labeled_set", _META_KEYS + ("layout",))
     meta = {k: doc[k] for k in _META_KEYS}
     arrays = read_blob(directory / "data.f64", doc["layout"])
     if len(arrays) != 2:

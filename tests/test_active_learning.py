@@ -21,7 +21,6 @@ from surrogate_forge import (
 )
 from surrogate_forge.active_learning import (
     RoundRecord,
-    UncertaintyReport,
     write_calibration_csv,
     write_history_csv,
 )
@@ -85,12 +84,6 @@ class TestUncertainty:
         # identical passes; only the mean's rounding noise remains
         np.testing.assert_allclose(sigma, np.zeros(4), atol=1e-12)
 
-    def test_report_validates_probability_mass(self):
-        with pytest.raises(ValueError):
-            UncertaintyReport(np.array([1.0, 2.0]), np.array([0.3, 0.3]))
-        rep = UncertaintyReport(np.array([1.0, 2.0]), np.array([0.25, 0.75]))
-        assert rep.probs[1] == 0.75
-
 
 class TestAcquisition:
     def test_softmax_worked_examples(self):
@@ -127,6 +120,11 @@ class TestAcquisition:
         probs = np.array([0.0, 0.0, 1.0, 0.0])
         idx = acquire(probs, 25, np.random.default_rng(0))
         np.testing.assert_array_equal(idx, np.full(25, 2))
+
+    @pytest.mark.parametrize("probs", [[0.3, 0.3], [-0.25, 1.25]])
+    def test_acquire_refuses_bad_mass(self, probs):
+        with pytest.raises(ValueError):
+            acquire(np.array(probs), 5, np.random.default_rng(0))
 
     def test_acquire_frequencies_with_replacement(self):
         probs = np.array([0.2, 0.8])

@@ -23,11 +23,9 @@ from surrogate_forge import (
     run_speed_sweep,
     timing_regression,
     write_effect_csv,
-    write_report_json,
     write_speed_csv,
 )
 from surrogate_forge.model_core import TRUTH_ALPHA_RANGE, TRUTH_GAMMA_RANGE
-from surrogate_forge.serialize import read_manifest
 
 from draw_sets import make_draws
 
@@ -158,19 +156,19 @@ class TestEffectCurve:
 class TestWeakTruth:
     def test_beta_pattern(self, spec3):
         truth = make_weak_truth(spec3, 1, np.random.default_rng(0))
-        np.testing.assert_array_equal(truth.draw.beta, [1.0, 0.1, 1.0])
+        np.testing.assert_array_equal(truth.beta, [1.0, 0.1, 1.0])
 
     def test_other_params_in_truth_ranges(self, spec3):
         truth = make_weak_truth(spec3, 0, np.random.default_rng(5))
         lo, hi = TRUTH_ALPHA_RANGE
-        assert np.all((truth.draw.alpha >= lo) & (truth.draw.alpha <= hi))
+        assert np.all((truth.alpha >= lo) & (truth.alpha <= hi))
         glo, ghi = TRUTH_GAMMA_RANGE
-        assert glo <= truth.draw.gamma <= ghi
-        assert truth.draw.sigma2 == 0.01
+        assert glo <= truth.gamma <= ghi
+        assert truth.sigma2 == 0.01
 
     def test_sigma2_override(self, spec3):
         truth = make_weak_truth(spec3, 0, np.random.default_rng(5), sigma2=0.25)
-        assert truth.draw.sigma2 == 0.25
+        assert truth.sigma2 == 0.25
 
     def test_rejects_out_of_range_index(self, spec3):
         with pytest.raises(ValueError):
@@ -303,9 +301,3 @@ class TestReportFiles:
         np.testing.assert_array_equal(got[:, 1], cur.mean)
         np.testing.assert_array_equal(got[:, 2], cur.lo95)
         np.testing.assert_array_equal(got[:, 3], cur.hi95)
-
-    def test_report_json_is_manifest(self, tmp_path):
-        path = tmp_path / "report.json"
-        write_report_json(path, {"spearman": 0.5})
-        man = read_manifest(path, "bench_report")
-        assert man["spearman"] == 0.5

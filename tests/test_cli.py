@@ -17,6 +17,7 @@ from surrogate_forge.cli import (
 )
 from surrogate_forge.config import WORKDIR_ENV
 from surrogate_forge.posterior import SamplerInitError
+from surrogate_forge.serialize import read_manifest
 from surrogate_forge.surrogate import TrainingDiverged
 from surrogate_forge.synth_data import load_labeled_set
 
@@ -272,6 +273,36 @@ class TestPredict:
         assert "entries" in capsys.readouterr().err
 
 
+def _rename_b2(doc):
+    for entry in doc["parameters"]:
+        if entry["name"] == "b2":
+            entry["name"] = "b3"
+
+
+class TestMalformedManifests:
+    """A manifest that lacks a field its loader reads, or whose net entries
+    do not match its config, is an artifact error with a one-line message."""
+
+    @pytest.mark.parametrize("artifact,edit,engine", [
+        ("net", _rename_b2, "nn"),
+        ("net", lambda doc: doc["config"].update(hidden_widht=8), "nn"),
+        ("posterior", lambda doc: doc.pop("layout"), "bm"),
+        ("data", lambda doc: doc.pop("tau"), "bm"),
+    ], ids=["net_b2_renamed_b3", "net_unknown_config_key", "posterior_without_layout",
+            "data_without_tau"])
+    def test_exits_5(self, tiny_cfg, tmp_path, capsys, artifact, edit, engine):
+        assert run(["train", "--config", tiny_cfg, "--auto"]) == EXIT_OK
+        assert run(["gen-data", "--config", tiny_cfg]) == EXIT_OK
+        manifest = tmp_path / "arts" / artifact / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["predict", "--engine", engine, "--config", tiny_cfg]) == EXIT_MISSING
+        err = capsys.readouterr().err
+        assert err.startswith("artifact error:") and err.count("\n") == 1
+
+
 class TestBench:
     def test_speed_requires_net_or_auto(self, tiny_cfg, capsys):
         assert run(["bench", "speed", "--config", tiny_cfg]) == EXIT_MISSING
@@ -286,27 +317,12 @@ class TestBench:
         tiny_cfg.write_text(json.dumps(doc))
         assert run(["bench", "calibration", "--config", tiny_cfg, "--auto"]) == EXIT_OK
         assert run(["bench", "invariance", "--config", tiny_cfg, "--auto"]) == EXIT_OK
-        report = json.loads((tmp_path / "arts" / "bench" / "report.json").read_text())
-        assert "calibration" in report
-        assert "invariance" in report
+        report = read_manifest(tmp_path / "arts" / "bench" / "report.json", "bench_report",
+                               ("calibration", "invariance"))
         assert report["calibration"]["pool_size"] == 30
         assert (tmp_path / "arts" / "bench" / "calibration.csv").exists()
         inv_files = report["invariance"]["files"]
         assert inv_files and all((tmp_path / "arts").exists() for _ in inv_files)
-
-    def test_invariance_alias_matches_bench_suite(self, tiny_cfg, tmp_path):
-        doc = json.loads(tiny_cfg.read_text())
-        doc["invariance"] = {"j": 0, "tau_values": [1.0], "c_values": [0.0],
-                             "n_mc": 8, "grid_points": 5, "train_size": 48,
-                             "val_size": 16, "intra_patience": 2, "max_epochs": 2}
-        tiny_cfg.write_text(json.dumps(doc))
-        assert run(["invariance", "--config", tiny_cfg, "--auto",
-                    "--out", tmp_path / "alias"]) == EXIT_OK
-        assert run(["bench", "invariance", "--config", tiny_cfg, "--auto",
-                    "--out", tmp_path / "suite"]) == EXIT_OK
-        a = json.loads((tmp_path / "alias" / "bench" / "report.json").read_text())
-        b = json.loads((tmp_path / "suite" / "bench" / "report.json").read_text())
-        assert a["invariance"]["max_abs_deviation"] == b["invariance"]["max_abs_deviation"]
 
 
 class TestErrorExitCodes:

@@ -171,23 +171,23 @@ class TestGroundTruth:
     def test_ranges_and_determinism(self, spec3):
         t1 = sample_ground_truth(spec3, np.random.default_rng(5))
         t2 = sample_ground_truth(spec3, np.random.default_rng(5))
-        d = t1.draw
+        d = t1
         assert TRUTH_GAMMA_RANGE[0] <= d.gamma <= TRUTH_GAMMA_RANGE[1]
         assert np.all((d.alpha >= TRUTH_ALPHA_RANGE[0]) & (d.alpha <= TRUTH_ALPHA_RANGE[1]))
         assert np.all((d.beta >= TRUTH_BETA_RANGE[0]) & (d.beta <= TRUTH_BETA_RANGE[1]))
         assert d.sigma2 == 0.01
-        np.testing.assert_array_equal(d.alpha, t2.draw.alpha)
-        assert d.gamma == t2.draw.gamma
+        np.testing.assert_array_equal(d.alpha, t2.alpha)
+        assert d.gamma == t2.gamma
 
     def test_generate_observed_noise_free_when_sigma2_zero(self, spec3):
         truth = sample_ground_truth(spec3, np.random.default_rng(2), sigma2=0.0)
         X, y = generate_observed(spec3, truth, 50, np.random.default_rng(3))
-        np.testing.assert_array_equal(y, eval_mean_batch(spec3, truth.draw, X))
+        np.testing.assert_array_equal(y, eval_mean_batch(spec3, truth, X))
 
     def test_generate_observed_noise_scale(self, spec3):
         truth = sample_ground_truth(spec3, np.random.default_rng(2), sigma2=0.04)
         X, y = generate_observed(spec3, truth, 4000, np.random.default_rng(3))
-        resid = y - eval_mean_batch(spec3, truth.draw, X)
+        resid = y - eval_mean_batch(spec3, truth, X)
         assert abs(resid.std() - 0.2) < 0.02
         assert abs(resid.mean()) < 0.02
 

@@ -18,7 +18,8 @@ from surrogate_forge import (
     save_posterior,
 )
 import surrogate_forge.posterior as posterior_module
-from surrogate_forge.model_core import VALID_LINKS, ParamDraw, eval_mean_batch
+from surrogate_forge.model_core import (VALID_LINKS, ParamDraw, eval_mean_batch,
+                                       generate_observed, sample_ground_truth)
 from surrogate_forge.posterior import _make_target
 
 from draw_sets import make_draws
@@ -226,7 +227,6 @@ class TestPosteriorDraws:
         np.testing.assert_array_equal(d.beta, draws3.beta[2])
         assert d.gamma == draws3.gamma[2]
         assert d.sigma2 == draws3.sigma2[2]
-        assert len(list(iter(draws3))) == 8
 
     def test_arrays_are_immutable(self, draws3):
         with pytest.raises(ValueError):
@@ -312,6 +312,18 @@ class TestSamplePosterior:
         y = np.array([0.0, 1.0, np.nan, 0.0, 1.0])
         with pytest.raises(SamplerInitError):
             sample_posterior(spec3, X, y, SamplerConfig(warmup=10, samples=5, seed=0))
+
+    @pytest.mark.parametrize("seed", [1100, 2100, 3100])
+    def test_benchmark_fit_check_holds(self, seed):
+        # the benchmark's fit workload: its sizes, and truth and data drawn as
+        # it draws them; it refuses a fit with non-finite draws or a warning
+        spec = ModelSpec(J=10)
+        truth = sample_ground_truth(spec, np.random.default_rng([seed, 1]))
+        X, y = generate_observed(spec, truth, 1000, np.random.default_rng([seed, 2]))
+        cfg = SamplerConfig(warmup=150, samples=200, leapfrog_steps=10, seed=seed)
+        d = sample_posterior(spec, X, y, cfg)
+        assert all(np.all(np.isfinite(a)) for a in (d.alpha, d.beta, d.gamma, d.sigma2))
+        assert d.diagnostics["warnings"] == []
 
 
 class TestEffectiveSampleSize:

@@ -17,7 +17,7 @@ from surrogate_forge.serialize import (
 def test_manifest_round_trip(tmp_path):
     path = tmp_path / "m.json"
     write_manifest(path, "posterior", {"M": 5, "b": [1, 2]})
-    doc = read_manifest(path, "posterior")
+    doc = read_manifest(path, "posterior", ("M", "b"))
     assert doc["format_version"] == FORMAT_VERSION
     assert doc["kind"] == "posterior"
     assert doc["M"] == 5 and doc["b"] == [1, 2]
@@ -35,23 +35,31 @@ def test_manifest_kind_mismatch(tmp_path):
     path = tmp_path / "m.json"
     write_manifest(path, "posterior", {})
     with pytest.raises(ArtifactError):
-        read_manifest(path, "net")
+        read_manifest(path, "net", ())
 
 
 def test_manifest_version_mismatch(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"format_version": FORMAT_VERSION + 1, "kind": "k"}))
     with pytest.raises(ArtifactError):
-        read_manifest(path, "k")
+        read_manifest(path, "k", ())
+
+
+def test_manifest_missing_key(tmp_path):
+    path = tmp_path / "m.json"
+    write_manifest(path, "k", {"M": 5})
+    with pytest.raises(ArtifactError, match="lacks layout, J"):
+        read_manifest(path, "k", ("M", "layout", "J"))
 
 
 def test_manifest_missing_or_corrupt(tmp_path):
     with pytest.raises(ArtifactError):
-        read_manifest(tmp_path / "absent.json", "k")
+        read_manifest(tmp_path / "absent.json", "k", ())
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ArtifactError):
-        read_manifest(bad, "k")
+    for text in ("{not json", "[1, 2]"):
+        bad.write_text(text)
+        with pytest.raises(ArtifactError):
+            read_manifest(bad, "k", ())
 
 
 def test_blob_round_trip_bitwise(tmp_path):
@@ -97,6 +105,16 @@ def test_blob_layout_with_a_gap_detected(tmp_path):
     write_blob(path, [np.ones(10)])
     layout = [{"shape": [4], "offset": 0}, {"shape": [5], "offset": 40}]
     with pytest.raises(ArtifactError, match="offset"):
+        read_blob(path, layout)
+
+
+@pytest.mark.parametrize("layout", [
+    [{"shape": [2]}], [{"offset": 0}], [{"shape": ["a"], "offset": 0}], [[2, 0]], 5,
+], ids=["no_offset", "no_shape", "bad_shape", "record_not_object", "not_a_list"])
+def test_blob_malformed_layout_detected(tmp_path, layout):
+    path = tmp_path / "b.f64"
+    write_blob(path, [np.zeros(2)])
+    with pytest.raises(ArtifactError):
         read_blob(path, layout)
 
 

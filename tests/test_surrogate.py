@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from surrogate_forge.surrogate import (
     _forward_batch,
     eval_loss,
 )
+from surrogate_forge.serialize import ArtifactError
 from surrogate_forge.synth_data import LabeledSet
 
 
@@ -300,10 +302,9 @@ class TestTrain:
         start = net.snapshot()
         baseline = eval_loss(net, val_set.X, val_set.Y)
         net, hist = train(net, train_set, val_set, patience=3, max_epochs=50)
+        # stopped by patience, well before max_epochs
         assert hist.epochs_run == 3
-        assert hist.stopped_early is True
         assert hist.best_val_loss == baseline
-        assert hist.initial_val_loss == baseline
         for name, arr in start.items():
             np.testing.assert_array_equal(getattr(net, name), arr)
 
@@ -328,9 +329,10 @@ class TestTrain:
         train_set, val_set = _toy_sets(np.random.default_rng(3), I=128)
         cfg = tiny_cfg(hidden_width=8, learning_rate=5e-2, batch_size=16)
         net = init_net(cfg)
+        baseline = eval_loss(net, val_set.X, val_set.Y)
         net, hist = train(net, train_set, val_set, patience=5, max_epochs=60)
         assert eval_loss(net, val_set.X, val_set.Y) == hist.best_val_loss
-        assert hist.best_val_loss <= hist.initial_val_loss
+        assert hist.best_val_loss <= baseline
         assert min(hist.val_loss) == hist.best_val_loss
 
     def test_deterministic_given_config_seed(self):
@@ -432,8 +434,18 @@ class TestPersistence:
         for name in net.param_names() + net.state_names():
             np.testing.assert_array_equal(getattr(back, name), getattr(net, name))
 
+    def test_entries_must_be_the_ones_the_config_needs(self, tmp_path):
+        # a batch-norm net's eight entries under a config that says no norm
+        man, blob = tmp_path / "net.json", tmp_path / "net.f64"
+        save_net(init_net(tiny_cfg(norm="batch", hidden_width=6)), man, blob)
+        doc = json.loads(man.read_text())
+        doc["config"]["norm"] = "none"
+        man.write_text(json.dumps(doc))
+        with pytest.raises(ArtifactError, match="its config needs"):
+            load_net(man, blob)
+
     def test_wrong_kind_rejected(self, tmp_path):
-        from surrogate_forge.serialize import ArtifactError, write_manifest
+        from surrogate_forge.serialize import write_manifest
 
         write_manifest(tmp_path / "net.json", "posterior", {})
         with pytest.raises(ArtifactError):
