@@ -294,7 +294,10 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "bench" and args.suite == "crossover":
-            print(bench_mod.crossover(args.kappa, args.m))
+            try:
+                print(bench_mod.crossover(args.kappa, args.m))
+            except ValueError as e:
+                raise ConfigError(str(e)) from e
             return EXIT_OK
         cfg = load_config(args.config, seed=args.seed, threads=args.threads,
                           out=args.out)

@@ -83,16 +83,23 @@ def _check_keys(section: str, given: dict) -> None:
             f"allowed: {sorted(_SECTION_KEYS[section])}")
 
 
-def _section(doc: dict, name: str) -> dict:
+def _section(doc: dict, name: str, cls) -> dict:
+    """The section called name, refused if it holds an unknown key or, when
+    cls is its dataclass, a non-integer value for an integer field (the
+    dataclass checks the ranges)."""
     raw = doc.get(name, {})
     if not isinstance(raw, dict):
         raise ConfigError(f"section {name!r} must be a JSON object")
     _check_keys(name, raw)
+    for f in fields(cls) if cls else ():
+        if f.type == "int" and f.name in raw and type(raw[f.name]) is not int:
+            raise ConfigError(f"{name}.{f.name} must be an integer, got {raw[f.name]!r}")
     return dict(raw)
 
 
 def _check_int(name: str, value, low: int) -> None:
-    if not isinstance(value, int) or value < low:
+    # type(...) is int also refuses a bool, which isinstance would let through
+    if type(value) is not int or value < low:
         raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
@@ -123,7 +130,7 @@ def load_config(path=None, *, seed=None, threads=None, out=None) -> RunConfig:
     root_seed = doc.get("seed", 0)
     if seed is not None:
         root_seed = seed
-    if not isinstance(root_seed, int):
+    if type(root_seed) is not int:
         raise ConfigError("seed must be an integer")
 
     n_threads = doc.get("threads", os.cpu_count() or 1)
@@ -131,19 +138,19 @@ def load_config(path=None, *, seed=None, threads=None, out=None) -> RunConfig:
         n_threads = threads
     _check_int("threads", n_threads, 1)
 
-    model_raw = _section(doc, "model")
+    model_raw = _section(doc, "model", ModelSpec)
     n_observed = model_raw.pop("n_observed", 1000)
     truth_sigma2 = model_raw.pop("truth_sigma2", 0.01)
     model_raw.setdefault("J", 5)
     try:
         spec = ModelSpec(**model_raw)
-        sampler = SamplerConfig(**_section(doc, "sampler"), seed=root_seed)
-        datagen_raw = _section(doc, "datagen")
+        sampler = SamplerConfig(**_section(doc, "sampler", SamplerConfig), seed=root_seed)
+        datagen_raw = _section(doc, "datagen", DataGenConfig)
         datagen_raw.setdefault("I", 10000)
         datagen = DataGenConfig(**datagen_raw, seed=root_seed)
-        net_kwargs = _section(doc, "net")
-        al = ALConfig(**_section(doc, "al"), seed=root_seed)
-        inv_raw = _section(doc, "invariance")
+        net_kwargs = _section(doc, "net", NetConfig)
+        al = ALConfig(**_section(doc, "al", ALConfig), seed=root_seed)
+        inv_raw = _section(doc, "invariance", InvarianceConfig)
         inv_extra = {k: inv_raw.pop(k, v) for k, v in _INV_EXTRA_DEFAULTS.items()}
         for key in ("tau_values", "c_values"):
             if key in inv_raw:
@@ -156,7 +163,7 @@ def load_config(path=None, *, seed=None, threads=None, out=None) -> RunConfig:
         raise ConfigError("model.truth_sigma2 must be a number >= 0")
 
     bench = dict(_BENCH_DEFAULTS)
-    bench.update(_section(doc, "bench"))
+    bench.update(_section(doc, "bench", None))
     J_list = bench["J_list"]
     if not isinstance(J_list, list) or not J_list:
         raise ConfigError(f"bench.J_list must be a nonempty list of integers, got {J_list!r}")
@@ -167,7 +174,7 @@ def load_config(path=None, *, seed=None, threads=None, out=None) -> RunConfig:
             if key != "J_list":
                 _check_int(f"{section}.{key}", value, _INT_MINIMUMS[key])
 
-    paths = _section(doc, "paths")
+    paths = _section(doc, "paths", None)
     workdir = os.environ.get(WORKDIR_ENV) or paths.get("workdir", ".")
     workdir = Path(workdir)
     if not workdir.exists():

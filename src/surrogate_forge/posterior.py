@@ -20,6 +20,8 @@ from .serialize import ArtifactError, read_blob, read_manifest, write_blob, writ
 DUAL_AVG_GAMMA = 0.05
 DUAL_AVG_T0 = 10.0
 DUAL_AVG_KAPPA = 0.75
+# the arrays of a stored posterior, by name, in blob order
+DRAW_FIELDS = ("alpha", "beta", "gamma", "sigma2")
 
 
 class SamplerInitError(Exception):
@@ -340,46 +342,29 @@ def effective_sample_size(chain) -> float:
 
 
 def save_posterior(draws: PosteriorDraws, manifest_path, blob_path) -> None:
-    M = len(draws)
-    J = draws.spec.J
-    mat = np.concatenate(
-        [draws.alpha, draws.beta, draws.gamma[:, None], draws.sigma2[:, None]], axis=1
-    )
-    layout = write_blob(blob_path, [mat])
+    layout = write_blob(blob_path, {n: getattr(draws, n) for n in DRAW_FIELDS})
     write_manifest(manifest_path, "posterior", {
-        "J": J,
-        "M": M,
+        "J": draws.spec.J,
+        "M": len(draws),
         "link": draws.spec.link,
-        "field_order": ["alpha", "beta", "gamma", "sigma2"],
-        "row_width": 2 * J + 2,
         "layout": layout,
         "mean_accept": draws.diagnostics.get("mean_accept"),
         "warnings": draws.diagnostics.get("warnings", []),
     })
 
 
-def load_posterior(manifest_path, blob_path, spec: ModelSpec | None = None) -> PosteriorDraws:
+def load_posterior(manifest_path, blob_path, spec: ModelSpec) -> PosteriorDraws:
+    """The stored draws, refused unless they were fitted under spec's J and link."""
     doc = read_manifest(manifest_path, "posterior", ("J", "M", "link", "layout"))
-    J = int(doc["J"])
-    M = int(doc["M"])
-    if spec is None:
-        spec = ModelSpec(J=J, link=doc["link"])
-    elif spec.J != J or spec.link != doc["link"]:
+    if doc["J"] != spec.J or doc["link"] != spec.link:
         raise ArtifactError(
-            f"stored posterior has J={J}, link={doc['link']!r}; "
+            f"stored posterior has J={doc['J']!r}, link={doc['link']!r}; "
             f"requested J={spec.J}, link={spec.link!r}")
-    arrays = read_blob(blob_path, doc["layout"])
-    if len(arrays) != 1:
-        raise ArtifactError(f"posterior layout has {len(arrays)} entries, expected 1")
-    (mat,) = arrays
-    if mat.shape != (M, 2 * J + 2):
+    arrays = read_blob(blob_path, doc["layout"], DRAW_FIELDS)
+    if arrays["gamma"].shape != (doc["M"],):
         raise ArtifactError("posterior blob shape mismatch with manifest")
     diagnostics = {"mean_accept": doc.get("mean_accept"), "warnings": doc.get("warnings", [])}
-    return PosteriorDraws(
-        spec,
-        mat[:, :J],
-        mat[:, J:2 * J],
-        mat[:, 2 * J],
-        mat[:, 2 * J + 1],
-        diagnostics,
-    )
+    try:
+        return PosteriorDraws(spec, **arrays, diagnostics=diagnostics)
+    except ValueError as e:
+        raise ArtifactError(f"posterior {blob_path} does not hold valid draws: {e}") from e

@@ -1,18 +1,19 @@
 """Versioned artifact persistence: JSON manifests plus raw float64 blobs.
 
-All binary payloads are little-endian float64, row-major, written in the
-order declared by the owning manifest. Loaders reject unknown format
-versions.
+All binary payloads are little-endian float64, row-major, written back to
+back as named entries in the order the owning manifest's layout declares.
+Loaders name the entries they expect and reject unknown format versions.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class ArtifactError(Exception):
@@ -54,41 +55,52 @@ def read_manifest(path: str | Path, kind: str, keys: tuple[str, ...]) -> dict:
     return doc
 
 
-def write_blob(path: str | Path, arrays: list[np.ndarray]) -> list[dict]:
-    """Write arrays back to back as <f8; returns per-array layout records."""
+def write_blob(path: str | Path, arrays: dict[str, np.ndarray]) -> list[dict]:
+    """Write the named arrays back to back as <f8; returns one layout record
+    (name, shape, offset) per array, in the mapping's order."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     layout = []
     offset = 0
     with open(path, "wb") as fh:
-        for arr in arrays:
+        for name, arr in arrays.items():
             data = np.ascontiguousarray(arr, dtype="<f8")
             fh.write(data.tobytes())
-            layout.append({"shape": list(data.shape), "offset": offset})
+            layout.append({"name": name, "shape": list(data.shape), "offset": offset})
             offset += data.size * 8
     return layout
 
 
-def read_blob(path: str | Path, layout: list[dict]) -> list[np.ndarray]:
-    """Arrays of a blob whose layout records tile it back to back, as write_blob wrote it."""
+def read_blob(path: str | Path, layout: list[dict],
+              names: tuple[str, ...] | list[str]) -> dict[str, np.ndarray]:
+    """The arrays of a blob by name, refused unless its layout records name
+    exactly names, in that order, and tile it back to back, as write_blob wrote it."""
     path = Path(path)
     if not path.exists():
         raise ArtifactError(f"blob not found: {path}")
     try:
-        records = [(tuple(int(s) for s in rec["shape"]), int(rec["offset"])) for rec in layout]
-    except (KeyError, TypeError, ValueError) as e:
+        records = [(rec["name"], tuple(rec["shape"]), rec["offset"]) for rec in layout]
+    except (KeyError, TypeError) as e:
         raise ArtifactError(f"blob {path} has a malformed layout: {e!r}") from e
+    stored = [name for name, _, _ in records]
+    if stored != list(names):
+        raise ArtifactError(f"blob {path} holds {stored}; expected {list(names)}")
     raw = path.read_bytes()
-    arrays = []
+    arrays = {}
     end = 0
-    for shape, start in records:
-        count = int(np.prod(shape)) if shape else 1
+    for name, shape, start in records:
+        if not all(type(n) is int and n >= 0 for n in (*shape, start)):
+            raise ArtifactError(f"blob {path} entry {name!r} has shape {list(shape)!r} "
+                                f"and offset {start!r}; both must be nonnegative integers")
         if start != end:
             raise ArtifactError(f"blob {path} layout has offset {start} where {end} was expected")
-        end = start + count * 8
+        end = start + math.prod(shape) * 8
         if end > len(raw):
             raise ArtifactError(f"blob {path} truncated: need {end} bytes, have {len(raw)}")
-        arrays.append(np.frombuffer(raw[start:end], dtype="<f8").reshape(shape).copy())
+        try:
+            arrays[name] = np.frombuffer(raw[start:end], dtype="<f8").reshape(shape).copy()
+        except ValueError as e:
+            raise ArtifactError(f"blob {path} entry {name!r} has shape {list(shape)}: {e}") from e
     if end != len(raw):
         raise ArtifactError(f"blob {path} has {len(raw)} bytes; its layout covers {end}")
     return arrays

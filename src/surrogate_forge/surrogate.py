@@ -18,7 +18,6 @@ from .serialize import ArtifactError, read_blob, read_manifest, write_blob, writ
 
 NORM_KINDS = ("layer", "batch", "none")
 ACTIVATIONS = ("relu", "tanh")
-OPTIMIZERS = ("adam", "sgd")
 NORM_EPS = 1e-5
 RUNNING_STAT_MOMENTUM = 0.1
 ADAM_BETA1 = 0.9
@@ -41,7 +40,6 @@ class NetConfig:
     learning_rate: float = 3e-4
     batch_size: int = 128
     seed: int = 0
-    optimizer: str = "adam"
 
     def __post_init__(self):
         if min(self.input_dim, self.hidden_width, self.output_dim) < 1:
@@ -56,8 +54,16 @@ class NetConfig:
             raise ValueError("learning_rate must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
+
+    def param_names(self) -> list[str]:
+        names = ["W1", "b1"]
+        if self.norm != "none":
+            names += ["gain", "bias"]
+        names += ["W2", "b2"]
+        return names
+
+    def state_names(self) -> list[str]:
+        return ["running_mean", "running_var"] if self.norm == "batch" else []
 
 
 class SurrogateNet:
@@ -88,25 +94,18 @@ class SurrogateNet:
                                  else np.asarray(running_mean, dtype=float))
             self.running_var = (np.ones(H) if running_var is None
                                 else np.asarray(running_var, dtype=float))
+            if self.running_mean.shape != (H,) or self.running_var.shape != (H,):
+                raise ValueError("running_mean/running_var shape mismatch with config")
         else:
             self.running_mean = None
             self.running_var = None
 
-    def param_names(self) -> list[str]:
-        names = ["W1", "b1"]
-        if self.config.norm != "none":
-            names += ["gain", "bias"]
-        names += ["W2", "b2"]
-        return names
-
-    def state_names(self) -> list[str]:
-        return ["running_mean", "running_var"] if self.config.norm == "batch" else []
-
     def snapshot(self) -> dict:
-        return {n: getattr(self, n).copy() for n in self.param_names() + self.state_names()}
+        return {n: getattr(self, n).copy()
+                for n in self.config.param_names() + self.config.state_names()}
 
     def restore(self, snap: dict) -> None:
-        for n in self.param_names() + self.state_names():
+        for n in self.config.param_names() + self.config.state_names():
             setattr(self, n, snap[n].copy())
 
 
@@ -286,28 +285,19 @@ class _Adam:
     def __init__(self, net: SurrogateNet, lr: float):
         self.lr = lr
         self.t = 0
-        self.m = {n: np.zeros_like(getattr(net, n)) for n in net.param_names()}
-        self.v = {n: np.zeros_like(getattr(net, n)) for n in net.param_names()}
+        self.m = {n: np.zeros_like(getattr(net, n)) for n in net.config.param_names()}
+        self.v = {n: np.zeros_like(getattr(net, n)) for n in net.config.param_names()}
 
     def step(self, net: SurrogateNet, grads: dict) -> None:
         self.t += 1
         c1 = 1.0 - ADAM_BETA1 ** self.t
         c2 = 1.0 - ADAM_BETA2 ** self.t
-        for n in net.param_names():
+        for n in net.config.param_names():
             g = grads[n]
             self.m[n] = ADAM_BETA1 * self.m[n] + (1.0 - ADAM_BETA1) * g
             self.v[n] = ADAM_BETA2 * self.v[n] + (1.0 - ADAM_BETA2) * g * g
             update = (self.m[n] / c1) / (np.sqrt(self.v[n] / c2) + ADAM_EPS)
             setattr(net, n, getattr(net, n) - self.lr * update)
-
-
-class _SGD:
-    def __init__(self, net: SurrogateNet, lr: float):
-        self.lr = lr
-
-    def step(self, net: SurrogateNet, grads: dict) -> None:
-        for n in net.param_names():
-            setattr(net, n, getattr(net, n) - self.lr * grads[n])
 
 
 def eval_loss(net: SurrogateNet, X, Y, chunk: int = 4096) -> float:
@@ -349,7 +339,7 @@ def train(net: SurrogateNet, train_set, val_set, patience: int,
     if dropout_rng is None:
         dropout_rng = substream(cfg.seed, "nn-dropout")
 
-    opt = _Adam(net, cfg.learning_rate) if cfg.optimizer == "adam" else _SGD(net, cfg.learning_rate)
+    opt = _Adam(net, cfg.learning_rate)
     history = TrainHistory()
     stopper = EarlyStopper(patience, eval_loss(net, Xval, Yval), net.snapshot())
 
@@ -410,7 +400,7 @@ def grad_check(net: SurrogateNet, x, y, h: float = 1e-5) -> float:
         return smooth_l1(Y, o)
 
     worst = 0.0
-    for name in net.param_names():
+    for name in net.config.param_names():
         arr = getattr(net, name)
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
@@ -447,25 +437,17 @@ def mc_dropout_predict(net: SurrogateNet, x, K: int,
 
 
 def save_net(net: SurrogateNet, manifest_path, blob_path) -> None:
-    names = net.param_names() + net.state_names()
-    arrays = [getattr(net, n) for n in names]
-    layout = write_blob(blob_path, arrays)
-    entries = [{"name": n, **rec} for n, rec in zip(names, layout)]
-    write_manifest(manifest_path, "surrogate_net", {
-        "config": asdict(net.config), "parameters": entries})
+    cfg = net.config
+    layout = write_blob(blob_path, {n: getattr(net, n)
+                                    for n in cfg.param_names() + cfg.state_names()})
+    write_manifest(manifest_path, "surrogate_net", {"config": asdict(cfg), "parameters": layout})
 
 
 def load_net(manifest_path, blob_path) -> SurrogateNet:
     doc = read_manifest(manifest_path, "surrogate_net", ("config", "parameters"))
-    entries = doc["parameters"]
-    arrays = read_blob(blob_path, entries)
-    names = [e.get("name") for e in entries]
     try:
-        net = SurrogateNet(NetConfig(**doc["config"]), **dict(zip(names, arrays)))
+        cfg = NetConfig(**doc["config"])
+        arrays = read_blob(blob_path, doc["parameters"], cfg.param_names() + cfg.state_names())
+        return SurrogateNet(cfg, **arrays)
     except (TypeError, ValueError) as e:
         raise ArtifactError(f"net manifest {manifest_path} does not describe a net: {e}") from e
-    expected = net.param_names() + net.state_names()
-    if names != expected:
-        raise ArtifactError(f"net manifest {manifest_path} stores {names}; "
-                            f"its config needs {expected}")
-    return net

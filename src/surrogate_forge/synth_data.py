@@ -95,7 +95,7 @@ def generate_at(spec: ModelSpec, draws: PosteriorDraws, X_fixed) -> LabeledSet:
 def save_labeled_set(ls: LabeledSet, directory) -> None:
     """Write manifest.json (dims, provenance, blob layout) and data.f64 (X then Y)."""
     directory = Path(directory)
-    layout = write_blob(directory / "data.f64", [ls.X, ls.Y])
+    layout = write_blob(directory / "data.f64", {"X": ls.X, "Y": ls.Y})
     meta = {k: ls.meta.get(k) for k in _META_KEYS}
     meta.update(I=len(ls), J=ls.X.shape[1], M=ls.Y.shape[1])
     write_manifest(directory / "manifest.json", "labeled_set", {**meta, "layout": layout})
@@ -105,10 +105,7 @@ def load_labeled_set(directory) -> LabeledSet:
     directory = Path(directory)
     doc = read_manifest(directory / "manifest.json", "labeled_set", _META_KEYS + ("layout",))
     meta = {k: doc[k] for k in _META_KEYS}
-    arrays = read_blob(directory / "data.f64", doc["layout"])
-    if len(arrays) != 2:
-        raise ArtifactError(f"labeled set layout has {len(arrays)} entries, expected 2 (X, Y)")
-    X, Y = arrays
+    X, Y = read_blob(directory / "data.f64", doc["layout"], ("X", "Y")).values()
     if X.shape != (meta["I"], meta["J"]) or Y.shape != (meta["I"], meta["M"]):
         raise ArtifactError("labeled set blob layout disagrees with manifest dimensions")
     return LabeledSet(X, Y, meta)

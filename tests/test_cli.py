@@ -62,6 +62,12 @@ class TestCrossoverCommand:
         assert run(["bench", "crossover", "--kappa", 2, "--m", 2]) == EXIT_OK
         assert capsys.readouterr().out.strip() == "4"
 
+    @pytest.mark.parametrize("flags", [["--m", 1], ["--kappa", 0]], ids=["m1", "kappa0"])
+    def test_out_of_range_exits_2(self, flags, capsys):
+        assert run(["bench", "crossover", *flags]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_runs_without_readable_config(self, capsys):
         # pure arithmetic; must not touch the config machinery
         assert run(["bench", "crossover", "--config", "/no/such/file"]) == EXIT_OK
@@ -267,10 +273,10 @@ class TestPredict:
         assert run(["gen-data", "--config", tiny_cfg, "--auto"]) == EXIT_OK
         manifest = tmp_path / "arts" / "data" / "manifest.json"
         doc = json.loads(manifest.read_text())
-        doc["layout"] = [{"shape": [doc["I"], doc["J"] + doc["M"]], "offset": 0}]
+        doc["layout"] = [{"name": "X", "shape": [doc["I"], doc["J"] + doc["M"]], "offset": 0}]
         manifest.write_text(json.dumps(doc))
         assert run(["predict", "--engine", "bm", "--config", tiny_cfg]) == EXIT_MISSING
-        assert "entries" in capsys.readouterr().err
+        assert "expected ['X', 'Y']" in capsys.readouterr().err
 
 
 def _rename_b2(doc):
@@ -287,9 +293,10 @@ class TestMalformedManifests:
         ("net", _rename_b2, "nn"),
         ("net", lambda doc: doc["config"].update(hidden_widht=8), "nn"),
         ("posterior", lambda doc: doc.pop("layout"), "bm"),
+        ("posterior", lambda doc: doc.update(J="two"), "bm"),
         ("data", lambda doc: doc.pop("tau"), "bm"),
     ], ids=["net_b2_renamed_b3", "net_unknown_config_key", "posterior_without_layout",
-            "data_without_tau"])
+            "posterior_J_not_a_number", "data_without_tau"])
     def test_exits_5(self, tiny_cfg, tmp_path, capsys, artifact, edit, engine):
         assert run(["train", "--config", tiny_cfg, "--auto"]) == EXIT_OK
         assert run(["gen-data", "--config", tiny_cfg]) == EXIT_OK
@@ -301,6 +308,17 @@ class TestMalformedManifests:
         assert run(["predict", "--engine", engine, "--config", tiny_cfg]) == EXIT_MISSING
         err = capsys.readouterr().err
         assert err.startswith("artifact error:") and err.count("\n") == 1
+
+    def test_negative_sigma2_draw_exits_5(self, tiny_cfg, tmp_path, capsys):
+        assert run(["fit-bm", "--config", tiny_cfg]) == EXIT_OK
+        blob = tmp_path / "arts" / "posterior" / "draws.f64"
+        # the blob ends with the last draw's sigma2
+        blob.write_bytes(blob.read_bytes()[:-8] + np.array([-1.0], "<f8").tobytes())
+        capsys.readouterr()
+        assert run(["gen-data", "--config", tiny_cfg]) == EXIT_MISSING
+        err = capsys.readouterr().err
+        assert err.startswith("artifact error:") and "nonnegative" in err
+        assert err.count("\n") == 1
 
 
 class TestBench:

@@ -132,6 +132,7 @@ class TestRejection:
 
     @pytest.mark.parametrize("doc", [
         {"seed": "zero"},
+        {"seed": True},
         {"threads": 0},
         {"threads": "four"},
         {"model": {"J": 0}},
@@ -153,6 +154,19 @@ class TestRejection:
     def test_bad_values_raise_config_error(self, tmp_path, doc):
         path = write_cfg(tmp_path, doc)
         with pytest.raises(ConfigError):
+            load_config(path)
+
+    @pytest.mark.parametrize("doc,name", [
+        ({"al": {"I_al": 2.5}}, "al.I_al"),
+        ({"sampler": {"samples": 20.5}}, "sampler.samples"),
+        ({"sampler": {"leapfrog_steps": 2.5}}, "sampler.leapfrog_steps"),
+        ({"datagen": {"I": 1.5}}, "datagen.I"),
+        ({"model": {"J": 2.0}}, "model.J"),
+        ({"threads": True}, "threads"),
+    ])
+    def test_integer_fields_refuse_other_types(self, tmp_path, doc, name):
+        path = write_cfg(tmp_path, doc)
+        with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             load_config(path)
 
 

@@ -355,7 +355,7 @@ class TestPersistence:
     def test_round_trip_bitwise(self, tmp_path, spec3, draws3):
         man, blob = tmp_path / "m.json", tmp_path / "d.f64"
         save_posterior(draws3, man, blob)
-        back = load_posterior(man, blob)
+        back = load_posterior(man, blob, spec3)
         np.testing.assert_array_equal(back.alpha, draws3.alpha)
         np.testing.assert_array_equal(back.beta, draws3.beta)
         np.testing.assert_array_equal(back.gamma, draws3.gamma)
@@ -370,18 +370,28 @@ class TestPersistence:
         with pytest.raises(ArtifactError):
             load_posterior(man, blob, ModelSpec(J=4))
 
-    def test_layout_with_two_entries_rejected(self, tmp_path, draws3):
+    def test_layout_with_two_entries_rejected(self, tmp_path, spec3, draws3):
         from surrogate_forge.serialize import ArtifactError
 
         man, blob = tmp_path / "m.json", tmp_path / "d.f64"
         save_posterior(draws3, man, blob)
-        M, width = len(draws3), 2 * draws3.spec.J + 2
         doc = json.loads(man.read_text())
-        doc["layout"] = [{"shape": [M, 1], "offset": 0},
-                         {"shape": [M, width - 1], "offset": M * 8}]
+        doc["layout"] = doc["layout"][:2]
         man.write_text(json.dumps(doc))
-        with pytest.raises(ArtifactError, match="entries"):
-            load_posterior(man, blob)
+        with pytest.raises(ArtifactError, match="expected"):
+            load_posterior(man, blob, spec3)
+
+    def test_layout_with_alpha_and_beta_swapped_rejected(self, tmp_path, spec3, draws3):
+        # both are (M, J), so the blob still tiles; only the names tell them apart
+        from surrogate_forge.serialize import ArtifactError
+
+        man, blob = tmp_path / "m.json", tmp_path / "d.f64"
+        save_posterior(draws3, man, blob)
+        doc = json.loads(man.read_text())
+        doc["layout"][0]["name"], doc["layout"][1]["name"] = "beta", "alpha"
+        man.write_text(json.dumps(doc))
+        with pytest.raises(ArtifactError, match="expected"):
+            load_posterior(man, blob, spec3)
 
     def test_saved_bytes_are_deterministic(self, tmp_path, spec3):
         draws = make_draws(spec3, M=6, seed=1)

@@ -64,63 +64,79 @@ def test_manifest_missing_or_corrupt(tmp_path):
 
 def test_blob_round_trip_bitwise(tmp_path):
     rng = np.random.default_rng(0)
-    arrays = [rng.standard_normal((3, 4)), rng.standard_normal(7),
-              np.array([2.5])]
+    arrays = {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal(7),
+              "c": np.array([2.5])}
     path = tmp_path / "d.f64"
     layout = write_blob(path, arrays)
+    assert [rec["name"] for rec in layout] == ["a", "b", "c"]
     assert [tuple(rec["shape"]) for rec in layout] == [(3, 4), (7,), (1,)]
     assert layout[0]["offset"] == 0
     assert layout[1]["offset"] == 3 * 4 * 8
-    back = read_blob(path, layout)
-    for got, want in zip(back, arrays):
-        np.testing.assert_array_equal(got, np.asarray(want, dtype=float))
+    back = read_blob(path, layout, ("a", "b", "c"))
+    assert list(back) == ["a", "b", "c"]
+    for name, want in arrays.items():
+        np.testing.assert_array_equal(back[name], np.asarray(want, dtype=float))
 
 
 def test_blob_accepts_noncontiguous_input(tmp_path):
     base = np.arange(24, dtype=float).reshape(4, 6)
     view = base[:, ::2]  # stride-2 view
     path = tmp_path / "d.f64"
-    layout = write_blob(path, [view])
-    np.testing.assert_array_equal(read_blob(path, layout)[0], view)
+    layout = write_blob(path, {"v": view})
+    np.testing.assert_array_equal(read_blob(path, layout, ("v",))["v"], view)
+
+
+@pytest.mark.parametrize("names", [("x", "z"), ("y", "x"), ("x",), ("x", "y", "z")],
+                         ids=["renamed", "swapped", "one_dropped", "one_extra"])
+def test_blob_names_must_match_exactly(tmp_path, names):
+    path = tmp_path / "d.f64"
+    layout = write_blob(path, {"x": np.ones(2), "y": np.ones(2)})
+    with pytest.raises(ArtifactError, match="expected"):
+        read_blob(path, layout, names)
 
 
 def test_blob_truncation_detected(tmp_path):
     path = tmp_path / "d.f64"
-    layout = write_blob(path, [np.ones(10)])
+    layout = write_blob(path, {"a": np.ones(10)})
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ArtifactError):
-        read_blob(path, layout)
+        read_blob(path, layout, ("a",))
 
 
 def test_blob_trailing_bytes_detected(tmp_path):
     path = tmp_path / "d.f64"
-    layout = write_blob(path, [np.ones(10)])
+    layout = write_blob(path, {"a": np.ones(10)})
     path.write_bytes(path.read_bytes() + bytes(64))
     with pytest.raises(ArtifactError, match="covers"):
-        read_blob(path, layout)
+        read_blob(path, layout, ("a",))
 
 
 def test_blob_layout_with_a_gap_detected(tmp_path):
     path = tmp_path / "d.f64"
-    write_blob(path, [np.ones(10)])
-    layout = [{"shape": [4], "offset": 0}, {"shape": [5], "offset": 40}]
+    write_blob(path, {"a": np.ones(10)})
+    layout = [{"name": "a", "shape": [4], "offset": 0},
+              {"name": "b", "shape": [5], "offset": 40}]
     with pytest.raises(ArtifactError, match="offset"):
-        read_blob(path, layout)
+        read_blob(path, layout, ("a", "b"))
 
 
 @pytest.mark.parametrize("layout", [
-    [{"shape": [2]}], [{"offset": 0}], [{"shape": ["a"], "offset": 0}], [[2, 0]], 5,
-], ids=["no_offset", "no_shape", "bad_shape", "record_not_object", "not_a_list"])
+    [{"name": "a", "shape": [2]}], [{"name": "a", "offset": 0}], [{"shape": [2], "offset": 0}],
+    [{"name": "a", "shape": ["a"], "offset": 0}], [{"name": "a", "shape": [2.0], "offset": 0}],
+    [{"name": "a", "shape": [-2], "offset": 0}], [{"name": "a", "shape": [2], "offset": 0.0}],
+    [{"name": "a", "shape": [0, 2 ** 64], "offset": 0}], [[2, 0]], 5,
+], ids=["no_offset", "no_shape", "no_name", "bad_shape", "float_shape", "negative_shape",
+        "float_offset", "huge_empty_shape", "record_not_object", "not_a_list"])
 def test_blob_malformed_layout_detected(tmp_path, layout):
     path = tmp_path / "b.f64"
-    write_blob(path, [np.zeros(2)])
+    write_blob(path, {"a": np.zeros(2)})
     with pytest.raises(ArtifactError):
-        read_blob(path, layout)
+        read_blob(path, layout, ("a",))
 
 
 def test_blob_missing_file(tmp_path):
     with pytest.raises(ArtifactError):
-        read_blob(tmp_path / "absent.f64", [{"shape": [1], "offset": 0}])
+        read_blob(tmp_path / "absent.f64", [{"name": "a", "shape": [1], "offset": 0}], ("a",))
 
 
 def test_write_csv_layout(tmp_path):

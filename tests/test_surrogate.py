@@ -83,7 +83,6 @@ class TestInit:
         {"activation": "gelu"},
         {"learning_rate": -1e-3},
         {"batch_size": 0},
-        {"optimizer": "rmsprop"},
     ])
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -242,7 +241,7 @@ class TestGradients:
         grads = _backward(net, cache, smooth_l1_grad(Y, out))
 
         h = 1e-6
-        for name in net.param_names():
+        for name in net.config.param_names():
             θ = getattr(net, name)
             num = np.empty_like(θ)
             for idx in np.ndindex(θ.shape):
@@ -362,16 +361,6 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(init_net(tiny_cfg()), empty, val_set, patience=1, max_epochs=1)
 
-    def test_sgd_optimizer_also_learns(self):
-        train_set, val_set = _toy_sets(np.random.default_rng(8), I=256)
-        cfg = NetConfig(input_dim=2, hidden_width=32, output_dim=2,
-                        dropout_rate=0.0, norm="none", activation="relu",
-                        learning_rate=5e-2, batch_size=32, seed=1, optimizer="sgd")
-        net = init_net(cfg)
-        before = eval_loss(net, val_set.X, val_set.Y)
-        net, hist = train(net, train_set, val_set, patience=100, max_epochs=100)
-        assert hist.best_val_loss < before
-
 
 class TestEvalLoss:
     def test_chunking_is_consistent(self):
@@ -431,7 +420,7 @@ class TestPersistence:
         assert back.config == cfg
         X = np.random.default_rng(0).random((7, 2))
         np.testing.assert_array_equal(predict(back, X), predict(net, X))
-        for name in net.param_names() + net.state_names():
+        for name in cfg.param_names() + cfg.state_names():
             np.testing.assert_array_equal(getattr(back, name), getattr(net, name))
 
     def test_entries_must_be_the_ones_the_config_needs(self, tmp_path):
@@ -441,7 +430,7 @@ class TestPersistence:
         doc = json.loads(man.read_text())
         doc["config"]["norm"] = "none"
         man.write_text(json.dumps(doc))
-        with pytest.raises(ArtifactError, match="its config needs"):
+        with pytest.raises(ArtifactError, match="expected"):
             load_net(man, blob)
 
     def test_wrong_kind_rejected(self, tmp_path):

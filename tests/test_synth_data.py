@@ -151,10 +151,11 @@ class TestPersistence:
             load_labeled_set(d)
 
     def test_layout_with_one_entry_rejected(self, tmp_path, spec3, draws3):
-        # one entry spanning the whole blob: read_blob accepts it, the loader must not
+        # one entry spanning the whole blob tiles it, but is not the X, Y pair
         _, d = self._saved(tmp_path, spec3, draws3)
-        self._edit_manifest(d, layout=[{"shape": [30, 3 + len(draws3)], "offset": 0}])
-        with pytest.raises(ArtifactError, match="entries"):
+        self._edit_manifest(
+            d, layout=[{"name": "X", "shape": [30, 3 + len(draws3)], "offset": 0}])
+        with pytest.raises(ArtifactError, match="expected"):
             load_labeled_set(d)
 
     def test_wrong_kind_rejected(self, tmp_path, spec3, draws3):
