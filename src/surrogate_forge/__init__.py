@@ -12,6 +12,7 @@ from .active_learning import (
     al_train,
     calibration_data,
     min_final_dataset_size,
+    train_new,
     uncertainty,
 )
 from .bench import (

@@ -18,8 +18,8 @@ from .model_core import ModelSpec
 from .posterior import PosteriorDraws
 from .seeds import substream
 from .serialize import write_csv
-from .surrogate import (EarlyStopper, NetConfig, SurrogateNet, init_net,
-                        mc_dropout_predict, train)
+from .surrogate import (EarlyStopper, NetConfig, SurrogateNet, TrainHistory,
+                        init_net, mc_dropout_predict, train)
 from .synth_data import INPUT_DISTS, DataGenConfig, LabeledSet, generate, generate_at
 
 
@@ -102,6 +102,19 @@ def min_final_dataset_size(cfg: ALConfig) -> int:
     return cfg.I_init + cfg.inter_patience * cfg.I_al
 
 
+def train_new(spec: ModelSpec, draws: PosteriorDraws, train_set: LabeledSet, net_cfg: NetConfig,
+              cfg, stream: str = "al-val", *, shuffle_rng=None, dropout_rng=None
+              ) -> tuple[SurrogateNet, TrainHistory, LabeledSet]:
+    """Train a fresh net on train_set, stopping early on cfg.val_size clean uniform
+    rows of stream `stream` of cfg.seed, labelled by the reference predictor. cfg
+    (ALConfig or InvarianceConfig) also gives intra_patience and max_epochs."""
+    X_val = substream(cfg.seed, stream).random((cfg.val_size, spec.J))
+    val_set = generate_at(spec, draws, X_val)
+    net, hist = train(init_net(net_cfg), train_set, val_set, cfg.intra_patience,
+                      cfg.max_epochs, shuffle_rng=shuffle_rng, dropout_rng=dropout_rng)
+    return net, hist, val_set
+
+
 def al_train(spec: ModelSpec, draws: PosteriorDraws, cfg: ALConfig,
              net_cfg: NetConfig) -> tuple[SurrogateNet, list[RoundRecord]]:
     """Run the full loop; returns the overall-best net and per-round history.
@@ -113,15 +126,9 @@ def al_train(spec: ModelSpec, draws: PosteriorDraws, cfg: ALConfig,
     if net_cfg.input_dim != spec.J or net_cfg.output_dim != len(draws):
         raise ValueError("net_cfg dimensions must match spec.J and draw count")
 
-    val_rng = substream(cfg.seed, "al-val")
-    X_val = val_rng.random((cfg.val_size, spec.J))
-    val_set = generate_at(spec, draws, X_val)
+    train_set = generate(spec, draws, DataGenConfig(I=cfg.I_init, tau=cfg.tau,
+                                                    input_dist=cfg.input_dist, seed=cfg.seed))
 
-    gen_cfg = DataGenConfig(I=cfg.I_init, tau=cfg.tau,
-                            input_dist=cfg.input_dist, seed=cfg.seed)
-    train_set = generate(spec, draws, gen_cfg)
-
-    net = init_net(net_cfg)
     shuffle_rng = substream(net_cfg.seed, "nn-shuffle")
     dropout_rng = substream(net_cfg.seed, "nn-dropout")
     pool_rng = substream(cfg.seed, "al-pool")
@@ -130,8 +137,8 @@ def al_train(spec: ModelSpec, draws: PosteriorDraws, cfg: ALConfig,
 
     records: list[RoundRecord] = []
     t0 = time.perf_counter()
-    net, hist = train(net, train_set, val_set, cfg.intra_patience, cfg.max_epochs,
-                      shuffle_rng=shuffle_rng, dropout_rng=dropout_rng)
+    net, hist, val_set = train_new(spec, draws, train_set, net_cfg, cfg,
+                                   shuffle_rng=shuffle_rng, dropout_rng=dropout_rng)
     records.append(RoundRecord(0, len(train_set), hist.train_loss[-1],
                                hist.best_val_loss, time.perf_counter() - t0))
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .active_learning import ALConfig, al_train
+from .active_learning import ALConfig, al_train, train_new
 from .bm_predict import predict_batch, predict_batch_timed
 from .model_core import (
     TRUTH_ALPHA_RANGE,
@@ -23,8 +23,8 @@ from .model_core import (
 )
 from .posterior import PosteriorDraws, SamplerConfig, sample_posterior
 from .seeds import derive_seed, substream
-from .surrogate import NetConfig, init_net, predict, train
-from .synth_data import DataGenConfig, generate, generate_at
+from .surrogate import NetConfig, predict
+from .synth_data import DataGenConfig, generate
 from .serialize import write_csv
 
 
@@ -195,6 +195,11 @@ class InvarianceConfig:
     c_values: tuple = (0.0, 0.5, 1.0)
     n_mc: int = 1000
     grid_points: int = 21
+    train_size: int = 10000
+    val_size: int = 2000
+    intra_patience: int = 20
+    max_epochs: int = 200
+    seed: int = 0
 
     def __post_init__(self):
         if self.j < 0:
@@ -207,8 +212,9 @@ class InvarianceConfig:
         for c in self.c_values:
             if not isinstance(c, (int, float)) or not math.isfinite(c):
                 raise ValueError(f"c_values entries must be finite numbers, got {c!r}")
-        if self.n_mc < 1:
-            raise ValueError("n_mc must be >= 1")
+        for name in ("n_mc", "train_size", "val_size", "intra_patience", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.grid_points < 2:
             raise ValueError("grid_points must be >= 2")
 
@@ -225,10 +231,8 @@ class InvarianceResult:
 
 def run_invariance_suite(spec: ModelSpec, draws: PosteriorDraws,
                          inv_cfg: InvarianceConfig, net_cfg: NetConfig, *,
-                         train_size: int = 10000, val_size: int = 2000,
-                         intra_patience: int = 20, max_epochs: int = 200,
-                         seed: int = 0, out_dir=None) -> InvarianceResult:
-    """Train one surrogate per tau from net_cfg on equal-sized sets, then
+                         out_dir=None) -> InvarianceResult:
+    """Train one surrogate per tau from net_cfg on train_size-row sets, then
     compare every net's effect curves against the reference predictor's.
 
     curves keys: (name, mode, c) with name 'bm' or 'tau<value>'; c is None
@@ -251,19 +255,14 @@ def run_invariance_suite(spec: ModelSpec, draws: PosteriorDraws,
                                                   "fixed", c=c)
     curves[("bm", "marginalized", None)] = effect_curve(
         bm_predictor, J, j, grid, "marginalized", n_mc=inv_cfg.n_mc,
-        rng=substream(seed, "inv-mc"))
-
-    val_rng = substream(seed, "inv-val")
-    X_val = val_rng.random((val_size, J))
-    val_set = generate_at(spec, draws, X_val)
+        rng=substream(inv_cfg.seed, "inv-mc"))
 
     summary = {}
     for tau in inv_cfg.tau_values:
-        dcfg = DataGenConfig(I=train_size, tau=tau, input_dist="uniform01",
-                             seed=derive_seed(seed, f"inv-data-{tau}"))
+        dcfg = DataGenConfig(I=inv_cfg.train_size, tau=tau, input_dist="uniform01",
+                             seed=derive_seed(inv_cfg.seed, f"inv-data-{tau}"))
         dset = generate(spec, draws, dcfg)
-        net = init_net(net_cfg)
-        net, _ = train(net, dset, val_set, intra_patience, max_epochs)
+        net, _, _ = train_new(spec, draws, dset, net_cfg, inv_cfg, "inv-val")
 
         def net_predictor(X, net=net):
             return predict(net, X)
@@ -275,7 +274,7 @@ def run_invariance_suite(spec: ModelSpec, draws: PosteriorDraws,
             ref = curves[("bm", "fixed", c)]
             summary[(tau, "fixed", c)] = float(np.max(np.abs(cur.mean - ref.mean)))
         cur = effect_curve(net_predictor, J, j, grid, "marginalized",
-                           n_mc=inv_cfg.n_mc, rng=substream(seed, "inv-mc"))
+                           n_mc=inv_cfg.n_mc, rng=substream(inv_cfg.seed, "inv-mc"))
         curves[(name, "marginalized", None)] = cur
         ref = curves[("bm", "marginalized", None)]
         summary[(tau, "marginalized", None)] = float(np.max(np.abs(cur.mean - ref.mean)))
@@ -285,11 +284,8 @@ def run_invariance_suite(spec: ModelSpec, draws: PosteriorDraws,
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         for (name, mode, c), cur in curves.items():
-            if mode == "fixed":
-                fname = f"invariance_{name}_fixed_{c:g}.csv"
-            else:
-                fname = f"invariance_{name}_marginalized.csv"
-            path = out_dir / fname
+            tail = f"fixed_{c:g}" if mode == "fixed" else "marginalized"
+            path = out_dir / f"invariance_{name}_{tail}.csv"
             write_effect_csv(cur, path)
             files.append(str(path))
     return InvarianceResult(curves, summary, files)

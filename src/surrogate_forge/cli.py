@@ -16,15 +16,16 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .active_learning import al_train, calibration_data, write_calibration_csv, write_history_csv
+from .active_learning import (al_train, calibration_data, train_new, write_calibration_csv,
+                              write_history_csv)
 from .bm_predict import export_predictions_csv, predict_batch_timed
 from .config import ConfigError, RunConfig, build_net_config, load_config
 from .model_core import generate_observed, sample_ground_truth
 from .posterior import SamplerInitError, load_posterior, sample_posterior, save_posterior
 from .seeds import substream
 from .serialize import ArtifactError, read_manifest, write_csv, write_manifest
-from .surrogate import TrainingDiverged, init_net, load_net, predict, save_net, train
-from .synth_data import generate, generate_at, load_labeled_set, save_labeled_set
+from .surrogate import TrainingDiverged, load_net, predict, save_net
+from .synth_data import generate, load_labeled_set, save_labeled_set
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -108,12 +109,7 @@ def _train(cfg: RunConfig, use_al: bool, auto: bool) -> None:
               f"best val loss = {min(r.val_loss for r in records):.6g}")
     else:
         train_set = generate(spec, draws, cfg.datagen)
-        val_rng = substream(cfg.seed, "al-val")
-        X_val = val_rng.random((cfg.al.val_size, spec.J))
-        val_set = generate_at(spec, draws, X_val)
-        net = init_net(net_cfg)
-        net, hist = train(net, train_set, val_set, cfg.al.intra_patience,
-                          cfg.al.max_epochs)
+        net, hist, _ = train_new(spec, draws, train_set, net_cfg, cfg.al)
         save_net(net, man, blob)
         write_csv(hist_path, "epoch,train_loss,val_loss",
                   (f"{e},{tl:.17g},{vl:.17g}" for e, (tl, vl)
@@ -225,14 +221,9 @@ def _bench_calibration(cfg: RunConfig, auto: bool) -> None:
 
 def _bench_invariance(cfg: RunConfig, auto: bool) -> None:
     draws = _load_posterior_or_fit(cfg, auto)
-    inv = cfg.invariance
-    extra = cfg.inv_extra
     net_cfg = build_net_config(cfg, cfg.spec.J, len(draws))
-    result = bench_mod.run_invariance_suite(
-        cfg.spec, draws, inv, net_cfg, train_size=extra["train_size"],
-        val_size=extra["val_size"], intra_patience=extra["intra_patience"],
-        max_epochs=extra["max_epochs"], seed=cfg.seed,
-        out_dir=cfg.artifacts / "bench")
+    result = bench_mod.run_invariance_suite(cfg.spec, draws, cfg.invariance, net_cfg,
+                                            out_dir=cfg.artifacts / "bench")
     summary = {f"tau{t:g}|{mode}" + (f"|c{c:g}" if c is not None else ""): v
                for (t, mode, c), v in result.summary.items()}
     path = _merge_report(cfg, "invariance", {"max_abs_deviation": summary,

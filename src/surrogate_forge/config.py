@@ -30,13 +30,9 @@ class ConfigError(Exception):
 _BENCH_DEFAULTS = {"J_list": [2, 5, 10, 20], "M": 200, "N_test": 5000,
                    "n_observed": 1000, "reps": 5, "warmup": 500,
                    "calibration_pool": 2000, "calibration_K": 50}
-_INV_EXTRA_DEFAULTS = {"train_size": 10000, "val_size": 2000,
-                       "intra_patience": 20, "max_epochs": 200}
-# smallest value of every integer key of the bench section and the invariance
-# extras: a rank correlation needs two rows, a dropout σ two passes
+# least value of each integer bench key: a rank correlation needs 2 rows, a dropout σ 2 passes
 _INT_MINIMUMS = {"M": 1, "N_test": 1, "n_observed": 1, "reps": 1, "warmup": 0,
-                 "calibration_pool": 2, "calibration_K": 2,
-                 "train_size": 1, "val_size": 1, "intra_patience": 1, "max_epochs": 1}
+                 "calibration_pool": 2, "calibration_K": 2}
 
 
 def _fields(cls, *skip) -> set:
@@ -50,7 +46,7 @@ _SECTION_KEYS = {
     "datagen": _fields(DataGenConfig),
     "net": _fields(NetConfig, "input_dim", "output_dim"),
     "al": _fields(ALConfig),
-    "invariance": _fields(InvarianceConfig) | set(_INV_EXTRA_DEFAULTS),
+    "invariance": _fields(InvarianceConfig),
     "bench": set(_BENCH_DEFAULTS),
     "paths": {"workdir", "artifacts"},
 }
@@ -67,7 +63,6 @@ class RunConfig:
     net_kwargs: dict
     al: ALConfig
     invariance: InvarianceConfig
-    inv_extra: dict
     bench: dict
     workdir: Path
     artifacts: Path
@@ -84,23 +79,40 @@ def _check_keys(section: str, given: dict) -> None:
 
 
 def _section(doc: dict, name: str, cls) -> dict:
-    """The section called name, refused if it holds an unknown key or, when
-    cls is its dataclass, a non-integer value for an integer field (the
-    dataclass checks the ranges)."""
+    """The section called name, refused if it holds an unknown key or, when cls
+    is its dataclass, a wrongly typed value for an int, float or tuple-of-numbers
+    field (the dataclass checks the ranges); tuple fields come back as tuples."""
     raw = doc.get(name, {})
     if not isinstance(raw, dict):
         raise ConfigError(f"section {name!r} must be a JSON object")
     _check_keys(name, raw)
+    out = dict(raw)
     for f in fields(cls) if cls else ():
-        if f.type == "int" and f.name in raw and type(raw[f.name]) is not int:
-            raise ConfigError(f"{name}.{f.name} must be an integer, got {raw[f.name]!r}")
-    return dict(raw)
+        if f.name not in raw:
+            continue
+        key, value = f"{name}.{f.name}", raw[f.name]
+        if f.type == "int" and type(value) is not int:
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+        if f.type == "float":
+            _check_number(key, value)
+        if f.type == "tuple":
+            if not isinstance(value, list):
+                raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
+            for v in value:
+                _check_number(f"{key} entry", v)
+            out[f.name] = tuple(value)
+    return out
 
 
 def _check_int(name: str, value, low: int) -> None:
     # type(...) is int also refuses a bool, which isinstance would let through
     if type(value) is not int or value < low:
         raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def _check_number(name: str, value) -> None:
+    if type(value) not in (int, float):  # refuses a bool, as above
+        raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
 def load_config(path=None, *, seed=None, threads=None, out=None) -> RunConfig:
@@ -150,16 +162,12 @@ def load_config(path=None, *, seed=None, threads=None, out=None) -> RunConfig:
         datagen = DataGenConfig(**datagen_raw, seed=root_seed)
         net_kwargs = _section(doc, "net", NetConfig)
         al = ALConfig(**_section(doc, "al", ALConfig), seed=root_seed)
-        inv_raw = _section(doc, "invariance", InvarianceConfig)
-        inv_extra = {k: inv_raw.pop(k, v) for k, v in _INV_EXTRA_DEFAULTS.items()}
-        for key in ("tau_values", "c_values"):
-            if key in inv_raw:
-                inv_raw[key] = tuple(inv_raw[key])
-        invariance = InvarianceConfig(**inv_raw)
+        invariance = InvarianceConfig(**_section(doc, "invariance", InvarianceConfig),
+                                      seed=root_seed)
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from e
     _check_int("model.n_observed", n_observed, 1)
-    if not isinstance(truth_sigma2, (int, float)) or not truth_sigma2 >= 0:
+    if type(truth_sigma2) not in (int, float) or not truth_sigma2 >= 0:
         raise ConfigError("model.truth_sigma2 must be a number >= 0")
 
     bench = dict(_BENCH_DEFAULTS)
@@ -169,10 +177,8 @@ def load_config(path=None, *, seed=None, threads=None, out=None) -> RunConfig:
         raise ConfigError(f"bench.J_list must be a nonempty list of integers, got {J_list!r}")
     for J in J_list:
         _check_int("bench.J_list entry", J, 1)
-    for section, values in (("bench", bench), ("invariance", inv_extra)):
-        for key, value in values.items():
-            if key != "J_list":
-                _check_int(f"{section}.{key}", value, _INT_MINIMUMS[key])
+    for key, minimum in _INT_MINIMUMS.items():
+        _check_int(f"bench.{key}", bench[key], minimum)
 
     paths = _section(doc, "paths", None)
     workdir = os.environ.get(WORKDIR_ENV) or paths.get("workdir", ".")
@@ -185,9 +191,8 @@ def load_config(path=None, *, seed=None, threads=None, out=None) -> RunConfig:
 
     return RunConfig(spec=spec, n_observed=n_observed, truth_sigma2=truth_sigma2,
                      sampler=sampler, datagen=datagen, net_kwargs=net_kwargs,
-                     al=al, invariance=invariance, inv_extra=inv_extra,
-                     bench=bench, workdir=workdir, artifacts=artifacts,
-                     seed=root_seed, threads=n_threads)
+                     al=al, invariance=invariance, bench=bench, workdir=workdir,
+                     artifacts=artifacts, seed=root_seed, threads=n_threads)
 
 
 def build_net_config(cfg: RunConfig, input_dim: int, output_dim: int) -> NetConfig:

@@ -110,13 +110,12 @@ def test_04_uncertainty_tracks_prediction_error(criterion):
         draws = sf.sample_posterior(
             spec, X, y, sf.SamplerConfig(warmup=300, samples=100, seed=5))
         dset = sf.generate(spec, draws, sf.DataGenConfig(I=4000, tau=0.8, seed=5))
-        val = sf.generate_at(spec, draws,
-                             sf.substream(5, "al-val").random((1000, 5)))
         ncfg = sf.NetConfig(input_dim=5, hidden_width=128, output_dim=100,
                             dropout_rate=0.5, learning_rate=3e-3,
                             batch_size=256, seed=5)
-        net = sf.init_net(ncfg)
-        net, _ = sf.train(net, dset, val, patience=8, max_epochs=60)
+        net, _, _ = sf.train_new(spec, draws, dset, ncfg,
+                                 sf.ALConfig(val_size=1000, intra_patience=8,
+                                             max_epochs=60, seed=5))
         pool = sf.substream(5, "al-pool").random((2000, 5))
         sigma, mu_rmse = sf.calibration_data(net, spec, draws, pool, 25,
                                              sf.substream(5, "al-score"))
@@ -238,13 +237,13 @@ def test_10_masking_teaches_weak_predictor_effects(criterion):
                 spec, X, y,
                 sf.SamplerConfig(warmup=300, samples=100, seed=rep_seed))
             inv = sf.InvarianceConfig(j=0, tau_values=(0.8, 1.0),
-                                      c_values=(0.0,), n_mc=200, grid_points=21)
+                                      c_values=(0.0,), n_mc=200, grid_points=21,
+                                      train_size=12000, val_size=1500,
+                                      intra_patience=12, max_epochs=150, seed=rep_seed)
             ncfg = sf.NetConfig(input_dim=3, hidden_width=128, output_dim=100,
                                 dropout_rate=0.5, learning_rate=3e-3,
                                 batch_size=256, seed=rep_seed)
-            res = sf.run_invariance_suite(
-                spec, draws, inv, ncfg, train_size=12000,
-                val_size=1500, intra_patience=12, max_epochs=150, seed=rep_seed)
+            res = sf.run_invariance_suite(spec, draws, inv, ncfg)
             return res.summary[(0.8, "fixed", 0.0)] < res.summary[(1.0, "fixed", 0.0)]
 
         wins = sum(one_rep(s) for s in (301, 302, 303, 304, 305))

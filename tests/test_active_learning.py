@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from surrogate_forge import (
     ALConfig,
+    InvarianceConfig,
     NetConfig,
     acquire,
     acquisition_probs,
@@ -17,6 +18,7 @@ from surrogate_forge import (
     mc_dropout_predict,
     min_final_dataset_size,
     predict_batch,
+    train_new,
     uncertainty,
 )
 from surrogate_forge.active_learning import (
@@ -144,6 +146,23 @@ def _tiny_al_setup(spec3, draws3, lr=0.0, **al_kwargs):
     net_cfg = NetConfig(input_dim=3, hidden_width=8, output_dim=len(draws3),
                         dropout_rate=0.5, learning_rate=lr, batch_size=16, seed=5)
     return al_cfg, net_cfg
+
+
+class TestTrainNew:
+    @pytest.mark.parametrize("cfg,stream", [
+        (ALConfig(val_size=12, intra_patience=1, max_epochs=2, seed=5), "al-val"),
+        (InvarianceConfig(val_size=9, intra_patience=1, max_epochs=2, seed=6), "inv-val"),
+    ])
+    def test_validation_rows_come_from_the_named_stream(self, spec3, draws3, cfg, stream):
+        net_cfg = NetConfig(input_dim=3, hidden_width=8, output_dim=len(draws3),
+                            learning_rate=1e-2, batch_size=16, seed=5)
+        train_set = generate_at(spec3, draws3, np.random.default_rng(0).random((32, 3)))
+        net, hist, val = train_new(spec3, draws3, train_set, net_cfg, cfg, stream)
+        X_val = substream(cfg.seed, stream).random((cfg.val_size, 3))
+        np.testing.assert_array_equal(val.X, X_val)
+        np.testing.assert_array_equal(val.Y, predict_batch(spec3, draws3, X_val))
+        assert 1 <= hist.epochs_run <= cfg.max_epochs
+        assert eval_loss(net, val.X, val.Y) == hist.best_val_loss
 
 
 class TestAlTrain:

@@ -194,6 +194,10 @@ class TestInvarianceConfig:
         {"c_values": ()},
         {"n_mc": 0},
         {"grid_points": 1},
+        {"train_size": 0},
+        {"val_size": 0},
+        {"intra_patience": 0},
+        {"max_epochs": 0},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):
@@ -210,10 +214,9 @@ class TestInvarianceSuite:
     def test_smoke_produces_curves_summary_and_files(self, tmp_path, spec2_identity):
         draws = make_draws(spec2_identity, 4, seed=2)
         inv = InvarianceConfig(j=0, tau_values=(0.5, 1.0), c_values=(0.0,),
-                               n_mc=8, grid_points=5)
+                               n_mc=8, grid_points=5, train_size=64, val_size=16,
+                               intra_patience=2, max_epochs=2, seed=9)
         res = run_invariance_suite(spec2_identity, draws, inv, _tiny_net_cfg(2),
-                                   train_size=64, val_size=16,
-                                   intra_patience=2, max_epochs=2, seed=9,
                                    out_dir=tmp_path)
         for key in [("bm", "fixed", 0.0), ("bm", "marginalized", None),
                     ("tau0.5", "fixed", 0.0), ("tau1", "fixed", 0.0),

@@ -90,6 +90,14 @@ class TestConfigErrors:
         assert run(["fit-bm", "--threads", 0]) == EXIT_CONFIG
         assert "threads" in capsys.readouterr().err
 
+    def test_null_prior_mean_exits_2(self, tiny_cfg, capsys):
+        doc = json.loads(tiny_cfg.read_text())
+        doc["model"]["prior_beta_mean"] = None
+        tiny_cfg.write_text(json.dumps(doc))
+        assert run(["fit-bm", "--config", tiny_cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: model.prior_beta_mean") and err.count("\n") == 1
+
 
 class TestFitBm:
     def test_writes_posterior_artifacts(self, tiny_cfg, tmp_path, capsys):

@@ -30,7 +30,7 @@ class TestDefaults:
         assert cfg.bench["N_test"] == 5000
         assert cfg.al.I_init == 10000
         assert cfg.invariance.tau_values == (0.8, 1.0)
-        assert cfg.inv_extra["train_size"] == 10000
+        assert cfg.invariance.train_size == 10000
 
     def test_empty_file_equals_no_file(self, tmp_path):
         path = write_cfg(tmp_path, {})
@@ -163,11 +163,38 @@ class TestRejection:
         ({"datagen": {"I": 1.5}}, "datagen.I"),
         ({"model": {"J": 2.0}}, "model.J"),
         ({"threads": True}, "threads"),
+        ({"invariance": {"train_size": 2.5}}, "invariance.train_size"),
+        ({"invariance": {"max_epochs": True}}, "invariance.max_epochs"),
     ])
     def test_integer_fields_refuse_other_types(self, tmp_path, doc, name):
         path = write_cfg(tmp_path, doc)
         with pytest.raises(ConfigError, match=f"{name} must be an integer"):
             load_config(path)
+
+    @pytest.mark.parametrize("doc,name", [
+        ({"model": {"truth_sigma2": True}}, "model.truth_sigma2"),
+        ({"model": {"prior_alpha_var": True}}, "model.prior_alpha_var"),
+        ({"model": {"prior_beta_mean": None}}, "model.prior_beta_mean"),
+        ({"model": {"prior_alpha_mean": "a"}}, "model.prior_alpha_mean"),
+        ({"net": {"learning_rate": True}}, "net.learning_rate"),
+        ({"net": {"dropout_rate": False}}, "net.dropout_rate"),
+        ({"datagen": {"tau": True}}, "datagen.tau"),
+        ({"al": {"tau": True}}, "al.tau"),
+        ({"sampler": {"step_size": True}}, "sampler.step_size"),
+        ({"invariance": {"tau_values": [True]}}, "invariance.tau_values entry"),
+        ({"invariance": {"c_values": [0.0, None]}}, "invariance.c_values entry"),
+    ])
+    def test_float_fields_refuse_other_types(self, tmp_path, doc, name):
+        path = write_cfg(tmp_path, doc)
+        with pytest.raises(ConfigError, match=f"{name} must be a number"):
+            load_config(path)
+
+    def test_float_fields_take_integers(self, tmp_path):
+        path = write_cfg(tmp_path, {"model": {"truth_sigma2": 1},
+                                    "invariance": {"c_values": [0, 1]}})
+        cfg = load_config(path)
+        assert cfg.truth_sigma2 == 1
+        assert cfg.invariance.c_values == (0, 1)
 
 
 class TestSectionsApplied:
@@ -198,7 +225,7 @@ class TestSectionsApplied:
         assert cfg.bench["N_test"] == 5000
 
     def test_invariance_section_splits_extras(self, tmp_path):
-        path = write_cfg(tmp_path, {"invariance": {
+        path = write_cfg(tmp_path, {"seed": 11, "invariance": {
             "j": 1, "tau_values": [0.5, 1.0], "c_values": [0.0],
             "grid_points": 5, "train_size": 128, "max_epochs": 3}})
         cfg = load_config(path)
@@ -206,9 +233,11 @@ class TestSectionsApplied:
         assert cfg.invariance.tau_values == (0.5, 1.0)
         assert cfg.invariance.c_values == (0.0,)
         assert cfg.invariance.grid_points == 5
-        assert cfg.inv_extra["train_size"] == 128
-        assert cfg.inv_extra["max_epochs"] == 3
-        assert cfg.inv_extra["val_size"] == 2000
+        assert cfg.invariance.train_size == 128
+        assert cfg.invariance.max_epochs == 3
+        assert cfg.invariance.val_size == 2000
+        assert cfg.invariance.intra_patience == 20
+        assert cfg.invariance.seed == cfg.seed == 11
 
 
 class TestBuildNetConfig:
