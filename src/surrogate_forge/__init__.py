@@ -16,6 +16,7 @@ from .active_learning import (
     uncertainty,
 )
 from .bench import (
+    BenchConfig,
     BenchReport,
     EffectCurve,
     InvarianceConfig,

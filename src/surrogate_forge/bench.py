@@ -222,6 +222,32 @@ class InvarianceConfig:
         return np.linspace(0.0, 1.0, self.grid_points)
 
 
+@dataclass(frozen=True)
+class BenchConfig:
+    J_list: tuple = (2, 5, 10, 20)
+    M: int = 200
+    N_test: int = 5000
+    n_observed: int = 1000
+    reps: int = 5
+    warmup: int = 500
+    calibration_pool: int = 2000
+    calibration_K: int = 50
+
+    def __post_init__(self):
+        # type(J) is int also refuses a bool, which isinstance would let through
+        if len(self.J_list) == 0 or any(type(J) is not int or J < 1 for J in self.J_list):
+            raise ValueError(f"J_list must be a nonempty list of integers >= 1, "
+                             f"got {list(self.J_list)!r}")
+        for name in ("M", "N_test", "n_observed", "reps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.warmup < 0:
+            raise ValueError("warmup must be >= 0")
+        # a rank correlation needs 2 rows, a dropout σ 2 passes
+        if min(self.calibration_pool, self.calibration_K) < 2:
+            raise ValueError("calibration_pool and calibration_K must be >= 2")
+
+
 @dataclass
 class InvarianceResult:
     curves: dict

@@ -19,7 +19,7 @@ from . import bench as bench_mod
 from .active_learning import (al_train, calibration_data, train_new, write_calibration_csv,
                               write_history_csv)
 from .bm_predict import export_predictions_csv, predict_batch_timed
-from .config import ConfigError, RunConfig, build_net_config, load_config
+from .config import ConfigError, RunConfig, load_config
 from .model_core import generate_observed, sample_ground_truth
 from .posterior import SamplerInitError, load_posterior, sample_posterior, save_posterior
 from .seeds import substream
@@ -97,7 +97,7 @@ def _gen_data(cfg: RunConfig, auto: bool) -> None:
 def _train(cfg: RunConfig, use_al: bool, auto: bool) -> None:
     draws = _load_posterior_or_fit(cfg, auto)
     spec = cfg.spec
-    net_cfg = build_net_config(cfg, spec.J, len(draws))
+    net_cfg = dataclasses.replace(cfg.net, output_dim=len(draws))
     man, blob = _net_paths(cfg)
     hist_path = man.parent / "history.csv"
     if use_al:
@@ -173,18 +173,12 @@ def _merge_report(cfg: RunConfig, key: str, payload) -> Path:
     return out
 
 
-def _bench_speed(cfg: RunConfig, auto: bool) -> None:
-    man, blob = _net_paths(cfg)
-    if not (man.exists() and blob.exists()) and not auto:
-        raise ArtifactError(
-            f"net artifact missing under {man.parent}; bench speed refits per J, "
-            "pass --auto to allow that without a prior train run")
+def _bench_speed(cfg: RunConfig) -> None:
     b = cfg.bench
-    sampler = dataclasses.replace(cfg.sampler, warmup=b["warmup"])
-    net_cfg = build_net_config(cfg, cfg.spec.J, b["M"])
+    sampler = dataclasses.replace(cfg.sampler, warmup=b.warmup)
     report = bench_mod.run_speed_sweep(
-        b["J_list"], b["M"], b["N_test"], net_cfg, cfg.al, seed=cfg.seed,
-        threads=cfg.threads, reps=b["reps"], n_observed=b["n_observed"],
+        b.J_list, b.M, b.N_test, cfg.net, cfg.al, seed=cfg.seed,
+        threads=cfg.threads, reps=b.reps, n_observed=b.n_observed,
         sampler=sampler, link=cfg.spec.link)
     out_dir = cfg.artifacts / "bench"
     bench_mod.write_speed_csv(report, out_dir / "speed_sweep.csv")
@@ -205,14 +199,14 @@ def _bench_calibration(cfg: RunConfig, auto: bool) -> None:
     net = _load_net_or_train(cfg, auto)
     b = cfg.bench
     pool_rng = substream(cfg.seed, "al-pool")
-    X_pool = pool_rng.random((b["calibration_pool"], cfg.spec.J))
+    X_pool = pool_rng.random((b.calibration_pool, cfg.spec.J))
     sigma, mu_rmse = calibration_data(net, cfg.spec, draws, X_pool,
-                                      b["calibration_K"], substream(cfg.seed, "al-score"))
+                                      b.calibration_K, substream(cfg.seed, "al-score"))
     out_dir = cfg.artifacts / "bench"
     write_calibration_csv(sigma, mu_rmse, out_dir / "calibration.csv")
     rho = float(spearmanr(sigma, mu_rmse).statistic)
     path = _merge_report(cfg, "calibration", {
-        "pool_size": int(X_pool.shape[0]), "K": b["calibration_K"],
+        "pool_size": int(X_pool.shape[0]), "K": b.calibration_K,
         "spearman": rho})
     print(f"calibration: spearman(sigma, mu_rmse) = {rho:.4f} "
           f"over {X_pool.shape[0]} pool rows")
@@ -221,7 +215,7 @@ def _bench_calibration(cfg: RunConfig, auto: bool) -> None:
 
 def _bench_invariance(cfg: RunConfig, auto: bool) -> None:
     draws = _load_posterior_or_fit(cfg, auto)
-    net_cfg = build_net_config(cfg, cfg.spec.J, len(draws))
+    net_cfg = dataclasses.replace(cfg.net, output_dim=len(draws))
     result = bench_mod.run_invariance_suite(cfg.spec, draws, cfg.invariance, net_cfg,
                                             out_dir=cfg.artifacts / "bench")
     summary = {f"tau{t:g}|{mode}" + (f"|c{c:g}" if c is not None else ""): v
@@ -301,7 +295,7 @@ def main(argv=None) -> int:
         elif args.command == "predict":
             _predict(cfg, args.engine, args.mode, args.x_csv, args.auto)
         elif args.command == "bench" and args.suite == "speed":
-            _bench_speed(cfg, args.auto)
+            _bench_speed(cfg)
         elif args.command == "bench" and args.suite == "calibration":
             _bench_calibration(cfg, args.auto)
         elif args.command == "bench" and args.suite == "invariance":

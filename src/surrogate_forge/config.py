@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .active_learning import ALConfig
-from .bench import InvarianceConfig
+from .bench import BenchConfig, InvarianceConfig
 from .model_core import ModelSpec
 from .posterior import SamplerConfig
 from .surrogate import NetConfig
@@ -27,30 +27,21 @@ class ConfigError(Exception):
     """Raised for unreadable, malformed, or invalid configuration."""
 
 
-_BENCH_DEFAULTS = {"J_list": [2, 5, 10, 20], "M": 200, "N_test": 5000,
-                   "n_observed": 1000, "reps": 5, "warmup": 500,
-                   "calibration_pool": 2000, "calibration_K": 50}
-# least value of each integer bench key: a rank correlation needs 2 rows, a dropout σ 2 passes
-_INT_MINIMUMS = {"M": 1, "N_test": 1, "n_observed": 1, "reps": 1, "warmup": 0,
-                 "calibration_pool": 2, "calibration_K": 2}
+@dataclass(frozen=True)
+class PathsConfig:
+    workdir: str = "."
+    artifacts: str = "artifacts"
 
 
-def _fields(cls, *skip) -> set:
-    """Config keys of a dataclass section: its fields minus the derived seed."""
-    return {f.name for f in fields(cls)} - {"seed", *skip}
-
-
-_SECTION_KEYS = {
-    "model": _fields(ModelSpec) | {"n_observed", "truth_sigma2"},
-    "sampler": _fields(SamplerConfig),
-    "datagen": _fields(DataGenConfig),
-    "net": _fields(NetConfig, "input_dim", "output_dim"),
-    "al": _fields(ALConfig),
-    "invariance": _fields(InvarianceConfig),
-    "bench": set(_BENCH_DEFAULTS),
-    "paths": {"workdir", "artifacts"},
-}
-_TOP_KEYS = set(_SECTION_KEYS) | {"seed", "threads"}
+_SECTIONS = {"model": ModelSpec, "sampler": SamplerConfig, "datagen": DataGenConfig,
+             "net": NetConfig, "al": ALConfig, "invariance": InvarianceConfig,
+             "bench": BenchConfig, "paths": PathsConfig}
+# config keys of each section: its dataclass's fields, less those derived from the
+# root seed and the model, plus the model section's two ground-truth settings
+_SECTION_KEYS = {name: {f.name for f in fields(cls)} - {"seed", "input_dim", "output_dim"}
+                 | ({"n_observed", "truth_sigma2"} if cls is ModelSpec else set())
+                 for name, cls in _SECTIONS.items()}
+_TOP_KEYS = set(_SECTIONS) | {"seed", "threads"}
 
 
 @dataclass
@@ -60,34 +51,31 @@ class RunConfig:
     truth_sigma2: float
     sampler: SamplerConfig
     datagen: DataGenConfig
-    net_kwargs: dict
+    net: NetConfig
     al: ALConfig
     invariance: InvarianceConfig
-    bench: dict
+    bench: BenchConfig
     workdir: Path
     artifacts: Path
     seed: int
     threads: int
 
 
-def _check_keys(section: str, given: dict) -> None:
-    unknown = set(given) - _SECTION_KEYS[section]
-    if unknown:
-        raise ConfigError(
-            f"unknown keys in section {section!r}: {sorted(unknown)}; "
-            f"allowed: {sorted(_SECTION_KEYS[section])}")
-
-
-def _section(doc: dict, name: str, cls) -> dict:
-    """The section called name, refused if it holds an unknown key or, when cls
-    is its dataclass, a wrongly typed value for an int, float or tuple-of-numbers
-    field (the dataclass checks the ranges); tuple fields come back as tuples."""
+def _section(doc: dict, name: str) -> dict:
+    """The section called name as keyword arguments for its dataclass, refused if
+    it holds an unknown key or a wrongly typed value for an int, float, str or
+    tuple-of-numbers field (the dataclass checks the ranges); tuple fields come
+    back as tuples."""
     raw = doc.get(name, {})
     if not isinstance(raw, dict):
         raise ConfigError(f"section {name!r} must be a JSON object")
-    _check_keys(name, raw)
+    unknown = set(raw) - _SECTION_KEYS[name]
+    if unknown:
+        raise ConfigError(
+            f"unknown keys in section {name!r}: {sorted(unknown)}; "
+            f"allowed: {sorted(_SECTION_KEYS[name])}")
     out = dict(raw)
-    for f in fields(cls) if cls else ():
+    for f in fields(_SECTIONS[name]):
         if f.name not in raw:
             continue
         key, value = f"{name}.{f.name}", raw[f.name]
@@ -95,6 +83,8 @@ def _section(doc: dict, name: str, cls) -> dict:
             raise ConfigError(f"{key} must be an integer, got {value!r}")
         if f.type == "float":
             _check_number(key, value)
+        if f.type == "str" and not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string, got {value!r}")
         if f.type == "tuple":
             if not isinstance(value, list):
                 raise ConfigError(f"{key} must be a list of numbers, got {value!r}")
@@ -150,54 +140,37 @@ def load_config(path=None, *, seed=None, threads=None, out=None) -> RunConfig:
         n_threads = threads
     _check_int("threads", n_threads, 1)
 
-    model_raw = _section(doc, "model", ModelSpec)
+    model_raw = _section(doc, "model")
     n_observed = model_raw.pop("n_observed", 1000)
     truth_sigma2 = model_raw.pop("truth_sigma2", 0.01)
     model_raw.setdefault("J", 5)
     try:
         spec = ModelSpec(**model_raw)
-        sampler = SamplerConfig(**_section(doc, "sampler", SamplerConfig), seed=root_seed)
-        datagen_raw = _section(doc, "datagen", DataGenConfig)
+        sampler = SamplerConfig(**_section(doc, "sampler"), seed=root_seed)
+        datagen_raw = _section(doc, "datagen")
         datagen_raw.setdefault("I", 10000)
         datagen = DataGenConfig(**datagen_raw, seed=root_seed)
-        net_kwargs = _section(doc, "net", NetConfig)
-        al = ALConfig(**_section(doc, "al", ALConfig), seed=root_seed)
-        invariance = InvarianceConfig(**_section(doc, "invariance", InvarianceConfig),
-                                      seed=root_seed)
+        net = NetConfig(input_dim=spec.J, output_dim=sampler.samples, seed=root_seed,
+                        **_section(doc, "net"))
+        al = ALConfig(**_section(doc, "al"), seed=root_seed)
+        invariance = InvarianceConfig(**_section(doc, "invariance"), seed=root_seed)
+        bench = BenchConfig(**_section(doc, "bench"))
     except (ValueError, TypeError) as e:
         raise ConfigError(str(e)) from e
     _check_int("model.n_observed", n_observed, 1)
-    if type(truth_sigma2) not in (int, float) or not truth_sigma2 >= 0:
+    _check_number("model.truth_sigma2", truth_sigma2)
+    if not truth_sigma2 >= 0:
         raise ConfigError("model.truth_sigma2 must be a number >= 0")
 
-    bench = dict(_BENCH_DEFAULTS)
-    bench.update(_section(doc, "bench", None))
-    J_list = bench["J_list"]
-    if not isinstance(J_list, list) or not J_list:
-        raise ConfigError(f"bench.J_list must be a nonempty list of integers, got {J_list!r}")
-    for J in J_list:
-        _check_int("bench.J_list entry", J, 1)
-    for key, minimum in _INT_MINIMUMS.items():
-        _check_int(f"bench.{key}", bench[key], minimum)
-
-    paths = _section(doc, "paths", None)
-    workdir = os.environ.get(WORKDIR_ENV) or paths.get("workdir", ".")
-    workdir = Path(workdir)
+    paths = PathsConfig(**_section(doc, "paths"))
+    workdir = Path(os.environ.get(WORKDIR_ENV) or paths.workdir)
     if not workdir.exists():
         raise ConfigError(f"workdir does not exist: {workdir}")
-    artifacts = Path(out) if out is not None else Path(paths.get("artifacts", "artifacts"))
+    artifacts = Path(out if out is not None else paths.artifacts)
     if not artifacts.is_absolute():
         artifacts = workdir / artifacts
 
     return RunConfig(spec=spec, n_observed=n_observed, truth_sigma2=truth_sigma2,
-                     sampler=sampler, datagen=datagen, net_kwargs=net_kwargs,
-                     al=al, invariance=invariance, bench=bench, workdir=workdir,
+                     sampler=sampler, datagen=datagen, net=net, al=al,
+                     invariance=invariance, bench=bench, workdir=workdir,
                      artifacts=artifacts, seed=root_seed, threads=n_threads)
-
-
-def build_net_config(cfg: RunConfig, input_dim: int, output_dim: int) -> NetConfig:
-    try:
-        return NetConfig(input_dim=input_dim, output_dim=output_dim,
-                         seed=cfg.seed, **cfg.net_kwargs)
-    except (ValueError, TypeError) as e:
-        raise ConfigError(str(e)) from e

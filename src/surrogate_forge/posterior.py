@@ -61,6 +61,8 @@ class PosteriorDraws:
         if alpha.ndim != 2 or beta.ndim != 2 or gamma.ndim != 1 or sigma2.ndim != 1:
             raise ValueError("alpha/beta must be (M, J); gamma/sigma2 must be (M,)")
         M = alpha.shape[0]
+        if M < 1:
+            raise ValueError("there must be at least one draw")
         if beta.shape != (M, spec.J) or alpha.shape != (M, spec.J):
             raise ValueError("alpha/beta shape mismatch with spec.J")
         if gamma.shape != (M,) or sigma2.shape != (M,):

@@ -98,6 +98,15 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: model.prior_beta_mean") and err.count("\n") == 1
 
+    def test_net_range_is_checked_before_fit_bm(self, tiny_cfg, tmp_path, capsys):
+        doc = json.loads(tiny_cfg.read_text())
+        doc["net"]["dropout_rate"] = 1.5
+        tiny_cfg.write_text(json.dumps(doc))
+        assert run(["fit-bm", "--config", tiny_cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "dropout_rate" in err
+        assert not (tmp_path / "arts" / "posterior").exists()
+
 
 class TestFitBm:
     def test_writes_posterior_artifacts(self, tiny_cfg, tmp_path, capsys):
@@ -329,10 +338,34 @@ class TestMalformedManifests:
         assert err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("argv", [["gen-data"], ["train"], ["train", "--al"]],
+                             ids=["gen-data", "train", "train-al"])
+    def test_zero_draw_posterior_exits_5(self, tiny_cfg, tmp_path, capsys, argv):
+        assert run(["fit-bm", "--config", tiny_cfg]) == EXIT_OK
+        d = tmp_path / "arts" / "posterior"
+        doc = json.loads((d / "manifest.json").read_text())
+        doc["M"] = 0
+        for rec in doc["layout"]:
+            rec["shape"][0] = 0
+            rec["offset"] = 0
+        (d / "manifest.json").write_text(json.dumps(doc))
+        (d / "draws.f64").write_bytes(b"")
+        capsys.readouterr()
+        assert run([*argv, "--config", tiny_cfg]) == EXIT_MISSING
+        err = capsys.readouterr().err
+        assert err.startswith("artifact error:") and "at least one draw" in err
+        assert err.count("\n") == 1
+
+
 class TestBench:
-    def test_speed_requires_net_or_auto(self, tiny_cfg, capsys):
-        assert run(["bench", "speed", "--config", tiny_cfg]) == EXIT_MISSING
-        assert "net" in capsys.readouterr().err
+    def test_speed_needs_no_upstream_artifacts(self, tiny_cfg, tmp_path):
+        doc = json.loads(tiny_cfg.read_text())
+        doc["bench"] = {"J_list": [2, 3], "M": 8, "N_test": 20, "n_observed": 40,
+                        "reps": 1, "warmup": 20}
+        tiny_cfg.write_text(json.dumps(doc))
+        assert run(["bench", "speed", "--config", tiny_cfg]) == EXIT_OK
+        lines = (tmp_path / "arts" / "bench" / "speed_sweep.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["J", "2", "3"]
 
     def test_calibration_then_invariance_merge_report(self, tiny_cfg, tmp_path, capsys):
         doc = json.loads(tiny_cfg.read_text())

@@ -2,11 +2,14 @@
 unknown or ill-typed keys, and path resolution."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from surrogate_forge import ConfigError, NetConfig, RunConfig, load_config
-from surrogate_forge.config import WORKDIR_ENV, build_net_config
+from surrogate_forge.config import _SECTION_KEYS, _TOP_KEYS, WORKDIR_ENV
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_cfg(tmp_path, doc, name="run.json"):
@@ -25,9 +28,9 @@ class TestDefaults:
         assert cfg.truth_sigma2 == 0.01
         assert cfg.seed == 0
         assert cfg.threads >= 1
-        assert cfg.bench["M"] == 200
-        assert cfg.bench["J_list"] == [2, 5, 10, 20]
-        assert cfg.bench["N_test"] == 5000
+        assert cfg.bench.M == 200
+        assert cfg.bench.J_list == (2, 5, 10, 20)
+        assert cfg.bench.N_test == 5000
         assert cfg.al.I_init == 10000
         assert cfg.invariance.tau_values == (0.8, 1.0)
         assert cfg.invariance.train_size == 10000
@@ -150,6 +153,8 @@ class TestRejection:
         {"invariance": {"val_size": 0}},
         {"invariance": {"tau_values": ["a"]}},
         {"invariance": {"c_values": ["b"]}},
+        {"bench": {"J_list": [2, 2.5]}},
+        {"bench": {"J_list": []}},
     ])
     def test_bad_values_raise_config_error(self, tmp_path, doc):
         path = write_cfg(tmp_path, doc)
@@ -165,6 +170,7 @@ class TestRejection:
         ({"threads": True}, "threads"),
         ({"invariance": {"train_size": 2.5}}, "invariance.train_size"),
         ({"invariance": {"max_epochs": True}}, "invariance.max_epochs"),
+        ({"bench": {"M": True}}, "bench.M"),
     ])
     def test_integer_fields_refuse_other_types(self, tmp_path, doc, name):
         path = write_cfg(tmp_path, doc)
@@ -187,6 +193,18 @@ class TestRejection:
     def test_float_fields_refuse_other_types(self, tmp_path, doc, name):
         path = write_cfg(tmp_path, doc)
         with pytest.raises(ConfigError, match=f"{name} must be a number"):
+            load_config(path)
+
+    @pytest.mark.parametrize("doc,name", [
+        ({"paths": {"workdir": 5}}, "paths.workdir"),
+        ({"paths": {"artifacts": None}}, "paths.artifacts"),
+        ({"model": {"link": 5}}, "model.link"),
+        ({"net": {"norm": 5}}, "net.norm"),
+        ({"datagen": {"input_dist": ["uniform01"]}}, "datagen.input_dist"),
+    ])
+    def test_string_fields_refuse_other_types(self, tmp_path, doc, name):
+        path = write_cfg(tmp_path, doc)
+        with pytest.raises(ConfigError, match=f"{name} must be a string"):
             load_config(path)
 
     def test_float_fields_take_integers(self, tmp_path):
@@ -220,9 +238,9 @@ class TestSectionsApplied:
     def test_bench_overrides_merge_with_defaults(self, tmp_path):
         path = write_cfg(tmp_path, {"bench": {"M": 16, "J_list": [2, 3]}})
         cfg = load_config(path)
-        assert cfg.bench["M"] == 16
-        assert cfg.bench["J_list"] == [2, 3]
-        assert cfg.bench["N_test"] == 5000
+        assert cfg.bench.M == 16
+        assert cfg.bench.J_list == (2, 3)
+        assert cfg.bench.N_test == 5000
 
     def test_invariance_section_splits_extras(self, tmp_path):
         path = write_cfg(tmp_path, {"seed": 11, "invariance": {
@@ -240,12 +258,12 @@ class TestSectionsApplied:
         assert cfg.invariance.seed == cfg.seed == 11
 
 
-class TestBuildNetConfig:
+class TestNetSection:
     def test_dims_and_kwargs(self, tmp_path):
-        path = write_cfg(tmp_path, {"seed": 4, "net": {"hidden_width": 32,
-                                                       "norm": "none"}})
-        cfg = load_config(path)
-        net_cfg = build_net_config(cfg, input_dim=3, output_dim=17)
+        path = write_cfg(tmp_path, {"seed": 4, "model": {"J": 3},
+                                    "sampler": {"samples": 17},
+                                    "net": {"hidden_width": 32, "norm": "none"}})
+        net_cfg = load_config(path).net
         assert isinstance(net_cfg, NetConfig)
         assert net_cfg.input_dim == 3
         assert net_cfg.output_dim == 17
@@ -255,9 +273,46 @@ class TestBuildNetConfig:
 
     def test_invalid_net_value_becomes_config_error(self, tmp_path):
         path = write_cfg(tmp_path, {"net": {"dropout_rate": 1.5}})
-        cfg = load_config(path)
-        with pytest.raises(ConfigError):
-            build_net_config(cfg, input_dim=2, output_dim=2)
+        with pytest.raises(ConfigError, match="dropout_rate"):
+            load_config(path)
 
     def test_returns_runconfig_type(self):
         assert isinstance(load_config(None), RunConfig)
+
+
+class TestAcceptedKeys:
+    """Each section accepts exactly these keys; a dataclass field added or
+    renamed later changes the config surface only if this list changes too."""
+
+    def test_section_keys(self):
+        assert _SECTION_KEYS == {
+            "model": {"J", "link", "n_observed", "prior_alpha_mean", "prior_alpha_var",
+                      "prior_beta_mean", "prior_beta_var", "prior_gamma_mean",
+                      "prior_gamma_var", "prior_sigma2_scale", "truth_sigma2"},
+            "sampler": {"leapfrog_steps", "samples", "step_size", "target_accept", "warmup"},
+            "datagen": {"I", "input_dist", "tau"},
+            "net": {"activation", "batch_size", "dropout_rate", "hidden_width",
+                    "learning_rate", "norm"},
+            "al": {"I_al", "I_init", "K", "input_dist", "inter_patience", "intra_patience",
+                   "max_epochs", "max_rounds", "pool_size", "tau", "val_size"},
+            "invariance": {"c_values", "grid_points", "intra_patience", "j", "max_epochs",
+                           "n_mc", "tau_values", "train_size", "val_size"},
+            "bench": {"J_list", "M", "N_test", "calibration_K", "calibration_pool",
+                      "n_observed", "reps", "warmup"},
+            "paths": {"artifacts", "workdir"},
+        }
+
+    def test_top_level_keys(self):
+        assert _TOP_KEYS == {"al", "bench", "datagen", "invariance", "model", "net",
+                             "paths", "sampler", "seed", "threads"}
+
+    def test_readme_example_loads(self, tmp_path):
+        text = README.read_text()
+        section = text[text.index("### Configuration"):]
+        block = section[section.index("```json\n") + len("```json\n"):]
+        doc = json.loads(block[:block.index("```")])
+        doc["paths"]["workdir"] = str(tmp_path)
+        cfg = load_config(write_cfg(tmp_path, doc))
+        assert cfg.spec.J == doc["model"]["J"]
+        assert cfg.bench.J_list == tuple(doc["bench"]["J_list"])
+        assert cfg.artifacts == tmp_path / doc["paths"]["artifacts"]

@@ -241,6 +241,9 @@ class TestPosteriorDraws:
         with pytest.raises(ValueError):
             PosteriorDraws(spec3, np.ones((4, 3)), np.ones((4, 3)),
                            np.ones(5), np.ones(4))
+        with pytest.raises(ValueError, match="at least one draw"):
+            PosteriorDraws(spec3, np.ones((0, 3)), np.ones((0, 3)),
+                           np.ones(0), np.ones(0))
 
 
 class TestSamplePosterior:
