@@ -94,6 +94,15 @@ def _section(doc: dict, name: str) -> dict:
     return out
 
 
+def _build(name: str, kwargs: dict, **derived):
+    """The section's dataclass from its keys plus the fields derived from the
+    root seed and the model; a range error it raises names the section."""
+    try:
+        return _SECTIONS[name](**kwargs, **derived)
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"{name}: {e}") from e
+
+
 def _check_int(name: str, value, low: int) -> None:
     # type(...) is int also refuses a bool, which isinstance would let through
     if type(value) is not int or value < low:
@@ -143,26 +152,20 @@ def load_config(path=None, *, seed=None, threads=None, out=None) -> RunConfig:
     model_raw = _section(doc, "model")
     n_observed = model_raw.pop("n_observed", 1000)
     truth_sigma2 = model_raw.pop("truth_sigma2", 0.01)
-    model_raw.setdefault("J", 5)
-    try:
-        spec = ModelSpec(**model_raw)
-        sampler = SamplerConfig(**_section(doc, "sampler"), seed=root_seed)
-        datagen_raw = _section(doc, "datagen")
-        datagen_raw.setdefault("I", 10000)
-        datagen = DataGenConfig(**datagen_raw, seed=root_seed)
-        net = NetConfig(input_dim=spec.J, output_dim=sampler.samples, seed=root_seed,
-                        **_section(doc, "net"))
-        al = ALConfig(**_section(doc, "al"), seed=root_seed)
-        invariance = InvarianceConfig(**_section(doc, "invariance"), seed=root_seed)
-        bench = BenchConfig(**_section(doc, "bench"))
-    except (ValueError, TypeError) as e:
-        raise ConfigError(str(e)) from e
+    spec = _build("model", {"J": 5, **model_raw})
+    sampler = _build("sampler", _section(doc, "sampler"), seed=root_seed)
+    datagen = _build("datagen", {"I": 10000, **_section(doc, "datagen")}, seed=root_seed)
+    net = _build("net", _section(doc, "net"), input_dim=spec.J,
+                 output_dim=sampler.samples, seed=root_seed)
+    al = _build("al", _section(doc, "al"), seed=root_seed)
+    invariance = _build("invariance", _section(doc, "invariance"), seed=root_seed)
+    bench = _build("bench", _section(doc, "bench"))
     _check_int("model.n_observed", n_observed, 1)
     _check_number("model.truth_sigma2", truth_sigma2)
     if not truth_sigma2 >= 0:
         raise ConfigError("model.truth_sigma2 must be a number >= 0")
 
-    paths = PathsConfig(**_section(doc, "paths"))
+    paths = _build("paths", _section(doc, "paths"))
     workdir = Path(os.environ.get(WORKDIR_ENV) or paths.workdir)
     if not workdir.exists():
         raise ConfigError(f"workdir does not exist: {workdir}")

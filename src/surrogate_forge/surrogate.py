@@ -67,23 +67,24 @@ class NetConfig:
 
 
 class SurrogateNet:
-    """Parameter container. Training mutates it; prediction never does."""
+    """Parameter container holding copies of the arrays it is given. Training
+    updates them in place; prediction never does."""
 
     def __init__(self, config: NetConfig, W1, b1, W2, b2,
                  gain=None, bias=None, running_mean=None, running_var=None):
         H, J, M = config.hidden_width, config.input_dim, config.output_dim
         self.config = config
-        self.W1 = np.asarray(W1, dtype=float)
-        self.b1 = np.asarray(b1, dtype=float)
-        self.W2 = np.asarray(W2, dtype=float)
-        self.b2 = np.asarray(b2, dtype=float)
+        self.W1 = np.array(W1, dtype=float)
+        self.b1 = np.array(b1, dtype=float)
+        self.W2 = np.array(W2, dtype=float)
+        self.b2 = np.array(b2, dtype=float)
         if self.W1.shape != (H, J) or self.b1.shape != (H,):
             raise ValueError("W1/b1 shape mismatch with config")
         if self.W2.shape != (M, H) or self.b2.shape != (M,):
             raise ValueError("W2/b2 shape mismatch with config")
         if config.norm != "none":
-            self.gain = np.asarray(gain, dtype=float)
-            self.bias = np.asarray(bias, dtype=float)
+            self.gain = np.array(gain, dtype=float)
+            self.bias = np.array(bias, dtype=float)
             if self.gain.shape != (H,) or self.bias.shape != (H,):
                 raise ValueError("gain/bias shape mismatch with config")
         else:
@@ -91,9 +92,9 @@ class SurrogateNet:
             self.bias = None
         if config.norm == "batch":
             self.running_mean = (np.zeros(H) if running_mean is None
-                                 else np.asarray(running_mean, dtype=float))
+                                 else np.array(running_mean, dtype=float))
             self.running_var = (np.ones(H) if running_var is None
-                                else np.asarray(running_var, dtype=float))
+                                else np.array(running_var, dtype=float))
             if self.running_mean.shape != (H,) or self.running_var.shape != (H,):
                 raise ValueError("running_mean/running_var shape mismatch with config")
         else:
@@ -129,94 +130,107 @@ def _forward_batch(net: SurrogateNet, X: np.ndarray, dropout_rng=None,
     Dropout is active iff dropout_rng is given and the rate is positive.
     Batch norm consumes batch statistics only when use_batch_stats is set
     and the batch has at least two rows; otherwise running stats apply.
-    Never mutates net.
+    Never mutates net or X.
+
+    Each (rows, H) stage is computed in place in one of at most three
+    buffers, with the floating-point operations of the plain expressions
+    (X @ W1.T + b1, numpy's mean and var, gain * Zhat + bias, A * mask / keep)
+    in the same order, so every result is bitwise equal to theirs.
     """
     cfg = net.config
     B = X.shape[0]
-    Z1 = X @ net.W1.T + net.b1
-    cache: dict = {"X": X, "Z1": Z1}
+    Z = X @ net.W1.T
+    Z += net.b1
+    cache: dict = {"X": X}
 
-    if cfg.norm == "layer":
-        mu = Z1.mean(axis=1, keepdims=True)
-        var = Z1.var(axis=1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + NORM_EPS)
-        Zhat = (Z1 - mu) * inv
-        Zn = net.gain * Zhat + net.bias
-        cache.update(Zhat=Zhat, inv=inv, norm_axis=1)
-    elif cfg.norm == "batch":
-        if use_batch_stats and B >= 2:
-            mu = Z1.mean(axis=0)
-            var = Z1.var(axis=0)
-            cache.update(batch_mu=mu, batch_var=var, used_batch_stats=True, norm_axis=0)
-        else:
-            mu = net.running_mean
-            var = net.running_var
-            cache.update(used_batch_stats=False)
-        inv = 1.0 / np.sqrt(var + NORM_EPS)
-        Zhat = (Z1 - mu) * inv
-        Zn = net.gain * Zhat + net.bias
-        cache.update(Zhat=Zhat, inv=inv)
+    if cfg.norm == "none":
+        A = Z
     else:
-        Zn = Z1
-    cache["Zn"] = Zn
+        A = np.empty_like(Z)
+        batch_stats = cfg.norm == "batch" and use_batch_stats and B >= 2
+        if cfg.norm == "layer" or batch_stats:
+            axis = 1 if cfg.norm == "layer" else 0
+            n = Z.shape[axis]
+            mu = Z.sum(axis=axis, keepdims=axis == 1) / n
+            Z -= mu
+            var = np.square(Z, out=A).sum(axis=axis, keepdims=axis == 1) / n
+        else:
+            mu, var = net.running_mean, net.running_var
+            Z -= mu
+        if cfg.norm == "batch":
+            cache.update(used_batch_stats=batch_stats, batch_mu=mu, batch_var=var)
+        inv = 1.0 / np.sqrt(var + NORM_EPS)
+        Z *= inv
+        np.multiply(Z, net.gain, out=A)
+        A += net.bias
+        cache.update(Zhat=Z, inv=inv)
 
     if cfg.activation == "relu":
-        A = np.maximum(Zn, 0.0)
+        np.maximum(A, 0.0, out=A)
     else:
-        A = np.tanh(Zn)
+        np.tanh(A, out=A)
     cache["A"] = A
 
     if dropout_rng is not None and cfg.dropout_rate > 0.0:
         keep = 1.0 - cfg.dropout_rate
-        mask = dropout_rng.random(A.shape) < keep
-        D = A * mask / keep
+        D = dropout_rng.random(A.shape)
+        mask = D < keep
+        np.multiply(A, mask, out=D)
+        D /= keep
         cache.update(mask=mask, keep=keep)
     else:
         D = A
         cache["mask"] = None
     cache["D"] = D
 
-    out = D @ net.W2.T + net.b2
+    out = D @ net.W2.T
+    out += net.b2
     return out, cache
 
 
 def _backward(net: SurrogateNet, cache: dict, dOut: np.ndarray) -> dict:
-    """Gradients of a scalar loss wrt every trainable, given dLoss/dOut."""
+    """Gradients of a scalar loss wrt every trainable, given dLoss/dOut.
+
+    One (rows, H) buffer holds dD, then dA, dZn, dZhat and dZ1 in turn; a
+    second holds the products the norm and tanh terms need. The operations
+    and their order are those of the plain expressions, so every gradient
+    is bitwise equal to theirs.
+    """
     cfg = net.config
+    A = cache["A"]
     grads = {"W2": dOut.T @ cache["D"], "b2": dOut.sum(axis=0)}
-    dD = dOut @ net.W2
+    G = dOut @ net.W2
+    T = np.empty_like(G)
 
     if cache["mask"] is not None:
-        dA = dD * cache["mask"] / cache["keep"]
-    else:
-        dA = dD
+        G *= cache["mask"]
+        G /= cache["keep"]
 
     if cfg.activation == "relu":
-        dZn = dA * (cache["Zn"] > 0)
+        G *= A > 0  # A > 0 exactly where the pre-activation is > 0
     else:
-        dZn = dA * (1.0 - cache["A"] ** 2)
+        np.square(A, out=T)
+        np.subtract(1.0, T, out=T)
+        G *= T
 
-    if cfg.norm == "none":
-        dZ1 = dZn
-    else:
+    if cfg.norm != "none":
         Zhat, inv = cache["Zhat"], cache["inv"]
-        grads["gain"] = (dZn * Zhat).sum(axis=0)
-        grads["bias"] = dZn.sum(axis=0)
-        dZhat = dZn * net.gain
-        if cfg.norm == "layer":
-            dZ1 = inv * (dZhat
-                         - dZhat.mean(axis=1, keepdims=True)
-                         - Zhat * (dZhat * Zhat).mean(axis=1, keepdims=True))
-        elif cache["used_batch_stats"]:
-            dZ1 = inv * (dZhat
-                         - dZhat.mean(axis=0)
-                         - Zhat * (dZhat * Zhat).mean(axis=0))
-        else:
-            # running stats make normalization an affine per-unit map
-            dZ1 = dZhat * inv
+        grads["gain"] = np.multiply(G, Zhat, out=T).sum(axis=0)
+        grads["bias"] = G.sum(axis=0)
+        G *= net.gain
+        if cfg.norm == "layer" or cache["used_batch_stats"]:
+            axis = 1 if cfg.norm == "layer" else 0
+            n = G.shape[axis]
+            m1 = G.sum(axis=axis, keepdims=axis == 1) / n
+            m2 = np.multiply(G, Zhat, out=T).sum(axis=axis, keepdims=axis == 1) / n
+            G -= m1
+            G -= np.multiply(Zhat, m2, out=T)
+        # dZ1 = inv * (dZhat - m1 - Zhat * m2) with the statistics of the
+        # batch; running stats make normalization affine, so dZ1 = dZhat * inv
+        G *= inv
 
-    grads["W1"] = dZ1.T @ cache["X"]
-    grads["b1"] = dZ1.sum(axis=0)
+    grads["W1"] = G.T @ cache["X"]
+    grads["b1"] = G.sum(axis=0)
     return grads
 
 
@@ -289,15 +303,28 @@ class _Adam:
         self.v = {n: np.zeros_like(getattr(net, n)) for n in net.config.param_names()}
 
     def step(self, net: SurrogateNet, grads: dict) -> None:
+        """One update of every parameter, moment and parameter in place, with
+        the operations of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
+        p = p - lr * (m/c1) / (sqrt(v/c2) + eps) in the same order."""
         self.t += 1
         c1 = 1.0 - ADAM_BETA1 ** self.t
         c2 = 1.0 - ADAM_BETA2 ** self.t
         for n in net.config.param_names():
-            g = grads[n]
-            self.m[n] = ADAM_BETA1 * self.m[n] + (1.0 - ADAM_BETA1) * g
-            self.v[n] = ADAM_BETA2 * self.v[n] + (1.0 - ADAM_BETA2) * g * g
-            update = (self.m[n] / c1) / (np.sqrt(self.v[n] / c2) + ADAM_EPS)
-            setattr(net, n, getattr(net, n) - self.lr * update)
+            g, m, v, p = grads[n], self.m[n], self.v[n], getattr(net, n)
+            tmp = (1.0 - ADAM_BETA1) * g
+            m *= ADAM_BETA1
+            m += tmp
+            np.multiply(1.0 - ADAM_BETA2, g, out=tmp)
+            tmp *= g
+            v *= ADAM_BETA2
+            v += tmp
+            np.divide(v, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += ADAM_EPS
+            update = m / c1
+            update /= tmp
+            update *= self.lr
+            p -= update
 
 
 def eval_loss(net: SurrogateNet, X, Y, chunk: int = 4096) -> float:
@@ -334,6 +361,8 @@ def train(net: SurrogateNet, train_set, val_set, patience: int,
         raise ValueError("training set dimensions disagree with net config")
     Xval = np.asarray(val_set.X, dtype=float)
     Yval = np.asarray(val_set.Y, dtype=float)
+    if Xval.shape[0] == 0:
+        raise ValueError("validation set is empty")
     if shuffle_rng is None:
         shuffle_rng = substream(cfg.seed, "nn-shuffle")
     if dropout_rng is None:

@@ -161,6 +161,18 @@ class TestRejection:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("doc,message", [
+        ({"bench": {"warmup": -1}}, "bench: warmup must be >= 0"),
+        ({"sampler": {"warmup": -1}}, "sampler: warmup must be >= 0"),
+        ({"al": {"max_epochs": 0}}, "al: max_epochs must be >= 1"),
+        ({"invariance": {"max_epochs": 0}}, "invariance: max_epochs must be >= 1"),
+    ])
+    def test_range_error_names_its_section(self, tmp_path, doc, message):
+        path = write_cfg(tmp_path, doc)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("doc,name", [
         ({"al": {"I_al": 2.5}}, "al.I_al"),
         ({"sampler": {"samples": 20.5}}, "sampler.samples"),

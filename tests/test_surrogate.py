@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,12 @@ from surrogate_forge import (
     train,
 )
 from surrogate_forge.surrogate import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     NORM_EPS,
     EarlyStopper,
+    _Adam,
     _backward,
     _forward_batch,
     eval_loss,
@@ -150,12 +155,14 @@ class TestForward:
         net = init_net(tiny_cfg(norm="batch", dropout_rate=0.5))
         before = net.snapshot()
         X = np.random.default_rng(1).random((6, 2))
+        X_before = X.copy()
         _forward_batch(net, X, dropout_rng=np.random.default_rng(2),
                        use_batch_stats=True)
         predict(net, X)
         after = net.snapshot()
         for name in before:
             np.testing.assert_array_equal(before[name], after[name])
+        np.testing.assert_array_equal(X, X_before)
 
     def test_inverted_dropout_preserves_expectation(self):
         cfg = tiny_cfg(input_dim=3, hidden_width=64, output_dim=1,
@@ -253,6 +260,143 @@ class TestGradients:
                 θ[idx] = orig
                 num[idx] = (up - dn) / (2 * h)
             np.testing.assert_allclose(grads[name], num, rtol=1e-4, atol=1e-7)
+
+
+def _ref_forward(net, X, dropout_rng=None, use_batch_stats=False):
+    """The forward pass as plain expressions, one fresh array per stage."""
+    cfg = net.config
+    Z1 = X @ net.W1.T + net.b1
+    cache = {"X": X}
+    if cfg.norm == "layer":
+        mu = Z1.mean(axis=1, keepdims=True)
+        var = Z1.var(axis=1, keepdims=True)
+    elif cfg.norm == "batch":
+        cache["used_batch_stats"] = use_batch_stats and X.shape[0] >= 2
+        if cache["used_batch_stats"]:
+            mu, var = Z1.mean(axis=0), Z1.var(axis=0)
+            cache.update(batch_mu=mu, batch_var=var)
+        else:
+            mu, var = net.running_mean, net.running_var
+    if cfg.norm == "none":
+        Zn = Z1
+    else:
+        inv = 1.0 / np.sqrt(var + NORM_EPS)
+        Zhat = (Z1 - mu) * inv
+        Zn = net.gain * Zhat + net.bias
+        cache.update(Zhat=Zhat, inv=inv)
+    A = np.maximum(Zn, 0.0) if cfg.activation == "relu" else np.tanh(Zn)
+    cache.update(Zn=Zn, A=A, mask=None)
+    D = A
+    if dropout_rng is not None and cfg.dropout_rate > 0.0:
+        keep = 1.0 - cfg.dropout_rate
+        mask = dropout_rng.random(A.shape) < keep
+        D = A * mask / keep
+        cache.update(mask=mask, keep=keep)
+    cache["D"] = D
+    return D @ net.W2.T + net.b2, cache
+
+
+def _ref_backward(net, cache, dOut):
+    """The backward pass as plain expressions, one fresh array per stage."""
+    cfg = net.config
+    grads = {"W2": dOut.T @ cache["D"], "b2": dOut.sum(axis=0)}
+    dA = dOut @ net.W2
+    if cache["mask"] is not None:
+        dA = dA * cache["mask"] / cache["keep"]
+    if cfg.activation == "relu":
+        dZn = dA * (cache["Zn"] > 0)
+    else:
+        dZn = dA * (1.0 - cache["A"] ** 2)
+    dZ1 = dZn
+    if cfg.norm != "none":
+        Zhat, inv = cache["Zhat"], cache["inv"]
+        grads["gain"] = (dZn * Zhat).sum(axis=0)
+        grads["bias"] = dZn.sum(axis=0)
+        dZhat = dZn * net.gain
+        if cfg.norm == "layer":
+            dZ1 = inv * (dZhat
+                         - dZhat.mean(axis=1, keepdims=True)
+                         - Zhat * (dZhat * Zhat).mean(axis=1, keepdims=True))
+        elif cache["used_batch_stats"]:
+            dZ1 = inv * (dZhat - dZhat.mean(axis=0) - Zhat * (dZhat * Zhat).mean(axis=0))
+        else:
+            dZ1 = dZhat * inv
+    grads["W1"] = dZ1.T @ cache["X"]
+    grads["b1"] = dZ1.sum(axis=0)
+    return grads
+
+
+def _ref_adam_step(params, m, v, t, lr, grads):
+    """One Adam update as plain expressions; returns new params, m and v."""
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
+    new_p, new_m, new_v = {}, {}, {}
+    for n, g in grads.items():
+        new_m[n] = ADAM_BETA1 * m[n] + (1.0 - ADAM_BETA1) * g
+        new_v[n] = ADAM_BETA2 * v[n] + (1.0 - ADAM_BETA2) * g * g
+        update = (new_m[n] / c1) / (np.sqrt(new_v[n] / c2) + ADAM_EPS)
+        new_p[n] = params[n] - lr * update
+    return new_p, new_m, new_v
+
+
+class TestInPlaceMatchesExpressionForm:
+    """The in-place passes and Adam step are bitwise equal to the plain expressions."""
+
+    @pytest.mark.parametrize("norm", ["layer", "batch", "none"])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    @pytest.mark.parametrize("use_batch_stats", [False, True])
+    def test_bitwise_equal(self, norm, activation, dropout, rows, use_batch_stats):
+        cfg = NetConfig(input_dim=3, hidden_width=6, output_dim=4, dropout_rate=dropout,
+                        norm=norm, activation=activation, learning_rate=1e-2, seed=3)
+        rng = np.random.default_rng(rows)
+        net = init_net(cfg)
+        for name in cfg.param_names():
+            setattr(net, name, rng.standard_normal(getattr(net, name).shape))
+        if norm == "batch":
+            net.running_mean = rng.standard_normal(6)
+            net.running_var = rng.random(6) + 0.5
+        X = rng.standard_normal((rows, 3))
+        dOut = rng.standard_normal((rows, 4))
+
+        out, cache = _forward_batch(net, X, np.random.default_rng(9), use_batch_stats)
+        want, ref_cache = _ref_forward(net, X, np.random.default_rng(9), use_batch_stats)
+        np.testing.assert_array_equal(out, want)
+        grads = _backward(net, cache, dOut)
+        ref_grads = _ref_backward(net, ref_cache, dOut)
+        assert set(grads) == set(cfg.param_names())
+        for name in cfg.param_names():
+            np.testing.assert_array_equal(grads[name], ref_grads[name])
+
+        opt = _Adam(net, cfg.learning_rate)
+        opt.t = 4
+        for name in cfg.param_names():
+            opt.m[name] = rng.standard_normal(opt.m[name].shape)
+            opt.v[name] = rng.random(opt.v[name].shape)
+        want_p, want_m, want_v = _ref_adam_step(
+            net.snapshot(), {n: a.copy() for n, a in opt.m.items()},
+            {n: a.copy() for n, a in opt.v.items()}, 5, cfg.learning_rate, ref_grads)
+        opt.step(net, grads)
+        for name in cfg.param_names():
+            np.testing.assert_array_equal(getattr(net, name), want_p[name])
+            np.testing.assert_array_equal(opt.m[name], want_m[name])
+            np.testing.assert_array_equal(opt.v[name], want_v[name])
+
+    @pytest.mark.parametrize("norm", ["layer", "batch", "none"])
+    def test_predict_peak_memory(self, norm):
+        # one fresh (rows, H) array per stage peaks near 4.8 x rows * H * 8 bytes
+        cfg = NetConfig(input_dim=10, hidden_width=256, output_dim=100, norm=norm, seed=1)
+        net = init_net(cfg)
+        X = np.random.default_rng(2).random((4096, 10))
+        predict(net, X)
+        tracemalloc.start()
+        try:
+            predict(net, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 4096 * 256 * 8
 
 
 class TestEarlyStopper:
@@ -360,6 +504,22 @@ class TestTrain:
         empty = LabeledSet(np.zeros((0, 2)), np.zeros((0, 2)), {})
         with pytest.raises(ValueError):
             train(init_net(tiny_cfg()), empty, val_set, patience=1, max_epochs=1)
+
+    def test_empty_validation_set_rejected(self):
+        train_set, _ = _toy_sets(np.random.default_rng(7))
+        empty = LabeledSet(np.zeros((0, 2)), np.zeros((0, 2)), {})
+        with pytest.raises(ValueError, match="validation set is empty"):
+            train(init_net(tiny_cfg()), train_set, empty, patience=1, max_epochs=1)
+
+    def test_never_writes_into_the_callers_arrays(self):
+        train_set, val_set = _toy_sets(np.random.default_rng(8))
+        cfg = tiny_cfg(norm="batch", learning_rate=1e-2)
+        held = init_net(cfg).snapshot()
+        given = {n: a.copy() for n, a in held.items()}
+        net = SurrogateNet(cfg, **held)
+        train(net, train_set, val_set, patience=5, max_epochs=1)
+        for name, arr in given.items():
+            np.testing.assert_array_equal(held[name], arr)
 
 
 class TestEvalLoss:
