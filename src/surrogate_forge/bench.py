@@ -7,20 +7,14 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .active_learning import ALConfig, al_train, train_new
 from .bm_predict import predict_batch, predict_batch_timed
-from .model_core import (
-    TRUTH_ALPHA_RANGE,
-    TRUTH_GAMMA_RANGE,
-    ModelSpec,
-    ParamDraw,
-    sample_ground_truth,
-    generate_observed,
-)
+from .model_core import ModelSpec, ParamDraw, sample_ground_truth, generate_observed
 from .posterior import PosteriorDraws, SamplerConfig, sample_posterior
 from .seeds import derive_seed, substream
 from .surrogate import NetConfig, predict
@@ -177,15 +171,14 @@ def effect_curve(predictor, J: int, j: int, x_j_grid, mode: str = "fixed", *,
 
 def make_weak_truth(spec: ModelSpec, weak_j: int, rng,
                     sigma2: float = 0.01) -> ParamDraw:
-    """Ground truth with one deliberately weak predictor: beta at the range
-    minimum for weak_j, the range maximum elsewhere."""
+    """Ground truth with one deliberately weak predictor: gamma and alpha as
+    sample_ground_truth draws them, beta at the range minimum for weak_j and
+    the range maximum elsewhere."""
     if not 0 <= weak_j < spec.J:
         raise ValueError("weak_j must index a predictor column")
-    gamma = rng.uniform(*TRUTH_GAMMA_RANGE)
-    alpha = rng.uniform(*TRUTH_ALPHA_RANGE, size=spec.J)
     beta = np.ones(spec.J)
     beta[weak_j] = 0.1
-    return ParamDraw(alpha=alpha, beta=beta, gamma=float(gamma), sigma2=float(sigma2))
+    return replace(sample_ground_truth(spec, rng, sigma2), beta=beta)
 
 
 @dataclass(frozen=True)
@@ -269,41 +262,26 @@ def run_invariance_suite(spec: ModelSpec, draws: PosteriorDraws,
         raise ValueError("inv_cfg.j must be < spec.J")
 
     grid = inv_cfg.grid()
-    j = inv_cfg.j
-    J = spec.J
+    settings = [("fixed", c) for c in inv_cfg.c_values] + [("marginalized", None)]
 
-    def bm_predictor(X):
-        return predict_batch(spec, draws, X)
+    def curves_of(predictor) -> dict:
+        # fixed mode ignores the rng and marginalized mode ignores c
+        return {(mode, c): effect_curve(predictor, spec.J, inv_cfg.j, grid, mode,
+                                        c=c, n_mc=inv_cfg.n_mc,
+                                        rng=substream(inv_cfg.seed, "inv-mc"))
+                for mode, c in settings}
 
-    curves = {}
-    for c in inv_cfg.c_values:
-        curves[("bm", "fixed", c)] = effect_curve(bm_predictor, J, j, grid,
-                                                  "fixed", c=c)
-    curves[("bm", "marginalized", None)] = effect_curve(
-        bm_predictor, J, j, grid, "marginalized", n_mc=inv_cfg.n_mc,
-        rng=substream(inv_cfg.seed, "inv-mc"))
-
+    ref = curves_of(partial(predict_batch, spec, draws))
+    curves = {("bm", *key): cur for key, cur in ref.items()}
     summary = {}
     for tau in inv_cfg.tau_values:
         dcfg = DataGenConfig(I=inv_cfg.train_size, tau=tau, input_dist="uniform01",
                              seed=derive_seed(inv_cfg.seed, f"inv-data-{tau}"))
         dset = generate(spec, draws, dcfg)
         net, _, _ = train_new(spec, draws, dset, net_cfg, inv_cfg, "inv-val")
-
-        def net_predictor(X, net=net):
-            return predict(net, X)
-
-        name = f"tau{tau:g}"
-        for c in inv_cfg.c_values:
-            cur = effect_curve(net_predictor, J, j, grid, "fixed", c=c)
-            curves[(name, "fixed", c)] = cur
-            ref = curves[("bm", "fixed", c)]
-            summary[(tau, "fixed", c)] = float(np.max(np.abs(cur.mean - ref.mean)))
-        cur = effect_curve(net_predictor, J, j, grid, "marginalized",
-                           n_mc=inv_cfg.n_mc, rng=substream(inv_cfg.seed, "inv-mc"))
-        curves[(name, "marginalized", None)] = cur
-        ref = curves[("bm", "marginalized", None)]
-        summary[(tau, "marginalized", None)] = float(np.max(np.abs(cur.mean - ref.mean)))
+        for key, cur in curves_of(partial(predict, net)).items():
+            curves[(f"tau{tau:g}", *key)] = cur
+            summary[(tau, *key)] = float(np.max(np.abs(cur.mean - ref[key].mean)))
 
     files = []
     if out_dir is not None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model_core import ModelSpec, ParamDraw, link_apply, link_deriv
+from .model_core import ModelSpec, link_apply, link_deriv
 from .seeds import substream
 from .serialize import ArtifactError, read_blob, read_manifest, write_blob, write_manifest
 
@@ -80,14 +80,6 @@ class PosteriorDraws:
 
     def __len__(self) -> int:
         return self.alpha.shape[0]
-
-    def __getitem__(self, m: int) -> ParamDraw:
-        return ParamDraw(
-            alpha=self.alpha[m].copy(),
-            beta=self.beta[m].copy(),
-            gamma=float(self.gamma[m]),
-            sigma2=float(self.sigma2[m]),
-        )
 
 
 def run_hmc(logp_and_grad, q0, cfg: SamplerConfig, rng) -> tuple[np.ndarray, dict]:

@@ -55,72 +55,57 @@ class NetConfig:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
-    def param_names(self) -> list[str]:
-        names = ["W1", "b1"]
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        """Name -> shape of every array a net of this config holds, in blob order."""
+        J, H, M = self.input_dim, self.hidden_width, self.output_dim
+        shapes = {"W1": (H, J), "b1": (H,)}
         if self.norm != "none":
-            names += ["gain", "bias"]
-        names += ["W2", "b2"]
-        return names
+            shapes.update(gain=(H,), bias=(H,))
+        shapes.update(W2=(M, H), b2=(M,))
+        if self.norm == "batch":
+            shapes.update(running_mean=(H,), running_var=(H,))
+        return shapes
 
-    def state_names(self) -> list[str]:
-        return ["running_mean", "running_var"] if self.norm == "batch" else []
+    def param_names(self) -> list[str]:
+        """The trainable entries of shapes(): all but batch norm's running statistics."""
+        return [n for n in self.shapes() if n not in ("running_mean", "running_var")]
 
 
 class SurrogateNet:
-    """Parameter container holding copies of the arrays it is given. Training
-    updates them in place; prediction never does."""
+    """Parameter container holding copies of the arrays it is given, one
+    attribute per entry of config.shapes(). Training updates them in place;
+    prediction never does."""
 
-    def __init__(self, config: NetConfig, W1, b1, W2, b2,
-                 gain=None, bias=None, running_mean=None, running_var=None):
-        H, J, M = config.hidden_width, config.input_dim, config.output_dim
+    def __init__(self, config: NetConfig, **arrays):
+        shapes = config.shapes()
+        if arrays.keys() != shapes.keys():
+            raise ValueError(f"a net of this config holds {list(shapes)}; given {list(arrays)}")
         self.config = config
-        self.W1 = np.array(W1, dtype=float)
-        self.b1 = np.array(b1, dtype=float)
-        self.W2 = np.array(W2, dtype=float)
-        self.b2 = np.array(b2, dtype=float)
-        if self.W1.shape != (H, J) or self.b1.shape != (H,):
-            raise ValueError("W1/b1 shape mismatch with config")
-        if self.W2.shape != (M, H) or self.b2.shape != (M,):
-            raise ValueError("W2/b2 shape mismatch with config")
-        if config.norm != "none":
-            self.gain = np.array(gain, dtype=float)
-            self.bias = np.array(bias, dtype=float)
-            if self.gain.shape != (H,) or self.bias.shape != (H,):
-                raise ValueError("gain/bias shape mismatch with config")
-        else:
-            self.gain = None
-            self.bias = None
-        if config.norm == "batch":
-            self.running_mean = (np.zeros(H) if running_mean is None
-                                 else np.array(running_mean, dtype=float))
-            self.running_var = (np.ones(H) if running_var is None
-                                else np.array(running_var, dtype=float))
-            if self.running_mean.shape != (H,) or self.running_var.shape != (H,):
-                raise ValueError("running_mean/running_var shape mismatch with config")
-        else:
-            self.running_mean = None
-            self.running_var = None
+        for name, shape in shapes.items():
+            arr = np.array(arrays[name], dtype=float)
+            if arr.shape != shape:
+                raise ValueError(f"{name} has shape {arr.shape}; the config needs {shape}")
+            setattr(self, name, arr)
 
     def snapshot(self) -> dict:
-        return {n: getattr(self, n).copy()
-                for n in self.config.param_names() + self.config.state_names()}
+        return {n: getattr(self, n).copy() for n in self.config.shapes()}
 
     def restore(self, snap: dict) -> None:
-        for n in self.config.param_names() + self.config.state_names():
+        for n in self.config.shapes():
             setattr(self, n, snap[n].copy())
 
 
 def init_net(config: NetConfig) -> SurrogateNet:
-    """Kaiming-uniform fan-in weights, zero biases, unit norm gains."""
+    """Kaiming-uniform fan-in weights, zero biases, unit norm gains, and
+    running statistics at mean 0 and variance 1."""
     rng = substream(config.seed, "nn-init")
-    J, H, M = config.input_dim, config.hidden_width, config.output_dim
-    bound1 = math.sqrt(6.0 / J)
-    W1 = rng.uniform(-bound1, bound1, size=(H, J))
-    bound2 = math.sqrt(6.0 / H)
-    W2 = rng.uniform(-bound2, bound2, size=(M, H))
-    gain = np.ones(H) if config.norm != "none" else None
-    bias = np.zeros(H) if config.norm != "none" else None
-    return SurrogateNet(config, W1, np.zeros(H), W2, np.zeros(M), gain=gain, bias=bias)
+    shapes = config.shapes()
+    arrays = {n: np.ones(s) if n in ("gain", "running_var") else np.zeros(s)
+              for n, s in shapes.items()}
+    for name, fan_in in (("W1", config.input_dim), ("W2", config.hidden_width)):
+        bound = math.sqrt(6.0 / fan_in)
+        arrays[name] = rng.uniform(-bound, bound, size=shapes[name])
+    return SurrogateNet(config, **arrays)
 
 
 def _forward_batch(net: SurrogateNet, X: np.ndarray, dropout_rng=None,
@@ -336,8 +321,8 @@ def eval_loss(net: SurrogateNet, X, Y, chunk: int = 4096) -> float:
     for lo in range(0, X.shape[0], chunk):
         Xb = X[lo:lo + chunk]
         Yb = Y[lo:lo + chunk]
-        out, _ = _forward_batch(net, Xb)
-        z = _smooth_l1_terms(out - Yb)
+        # index the pair so the forward cache is freed before the loss terms
+        z = _smooth_l1_terms(_forward_batch(net, Xb)[0] - Yb)
         total += float(np.sum(z))
         count += z.size
     return total / count
@@ -467,8 +452,7 @@ def mc_dropout_predict(net: SurrogateNet, x, K: int,
 
 def save_net(net: SurrogateNet, manifest_path, blob_path) -> None:
     cfg = net.config
-    layout = write_blob(blob_path, {n: getattr(net, n)
-                                    for n in cfg.param_names() + cfg.state_names()})
+    layout = write_blob(blob_path, {n: getattr(net, n) for n in cfg.shapes()})
     write_manifest(manifest_path, "surrogate_net", {"config": asdict(cfg), "parameters": layout})
 
 
@@ -476,7 +460,7 @@ def load_net(manifest_path, blob_path) -> SurrogateNet:
     doc = read_manifest(manifest_path, "surrogate_net", ("config", "parameters"))
     try:
         cfg = NetConfig(**doc["config"])
-        arrays = read_blob(blob_path, doc["parameters"], cfg.param_names() + cfg.state_names())
+        arrays = read_blob(blob_path, doc["parameters"], list(cfg.shapes()))
         return SurrogateNet(cfg, **arrays)
     except (TypeError, ValueError) as e:
         raise ArtifactError(f"net manifest {manifest_path} does not describe a net: {e}") from e

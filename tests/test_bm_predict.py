@@ -19,7 +19,10 @@ class TestPredictDraws:
     def test_matches_per_draw_loop_bitwise(self, spec3, draws3):
         x = np.random.default_rng(0).random(3)
         got = predict_draws(spec3, draws3, x)
-        want = np.array([eval_mean(spec3, draws3[m], x) for m in range(len(draws3))])
+        per_draw = [ParamDraw(alpha=draws3.alpha[m], beta=draws3.beta[m],
+                              gamma=float(draws3.gamma[m]), sigma2=float(draws3.sigma2[m]))
+                    for m in range(len(draws3))]
+        want = np.array([eval_mean(spec3, d, x) for d in per_draw])
         np.testing.assert_array_equal(got, want)
 
     def test_risk_min_is_exactly_rounded_mean_of_draws(self, spec3, draws3):

@@ -222,11 +222,6 @@ class TestSamplerConfig:
 class TestPosteriorDraws:
     def test_container_semantics(self, spec3, draws3):
         assert len(draws3) == 8
-        d = draws3[2]
-        np.testing.assert_array_equal(d.alpha, draws3.alpha[2])
-        np.testing.assert_array_equal(d.beta, draws3.beta[2])
-        assert d.gamma == draws3.gamma[2]
-        assert d.sigma2 == draws3.sigma2[2]
 
     def test_arrays_are_immutable(self, draws3):
         with pytest.raises(ValueError):

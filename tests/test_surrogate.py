@@ -51,9 +51,14 @@ def manual_net(cfg):
     W2 = np.array([[1.0, 0.5, -0.5], [0.25, -1.0, 2.0]])[: cfg.output_dim,
                                                          : cfg.hidden_width]
     b2 = np.array([0.05, -0.1])[: cfg.output_dim]
-    gain = np.array([1.5, 0.5, 2.0])[: cfg.hidden_width] if cfg.norm != "none" else None
-    bias = np.array([0.2, -0.3, 0.1])[: cfg.hidden_width] if cfg.norm != "none" else None
-    return SurrogateNet(cfg, W1, b1, W2, b2, gain=gain, bias=bias)
+    arrays = dict(W1=W1, b1=b1, W2=W2, b2=b2)
+    if cfg.norm != "none":
+        arrays.update(gain=np.array([1.5, 0.5, 2.0])[: cfg.hidden_width],
+                      bias=np.array([0.2, -0.3, 0.1])[: cfg.hidden_width])
+    if cfg.norm == "batch":
+        arrays.update(running_mean=np.zeros(cfg.hidden_width),
+                      running_var=np.ones(cfg.hidden_width))
+    return SurrogateNet(cfg, **arrays)
 
 
 class TestInit:
@@ -80,6 +85,20 @@ class TestInit:
         np.testing.assert_array_equal(a.W2, b.W2)
         assert not np.array_equal(a.W1, c.W1)
 
+    @pytest.mark.parametrize("norm", ["layer", "batch", "none"])
+    def test_holds_exactly_the_table(self, norm):
+        cfg = tiny_cfg(norm=norm, input_dim=4, hidden_width=5, output_dim=3, seed=1)
+        net = init_net(cfg)
+        assert {n: a.shape for n, a in net.snapshot().items()} == cfg.shapes()
+        for name in ("gain", "bias", "running_mean", "running_var"):
+            assert hasattr(net, name) == (name in cfg.shapes())
+        starts = {"b1": 0.0, "b2": 0.0, "gain": 1.0, "bias": 0.0,
+                  "running_mean": 0.0, "running_var": 1.0}
+        for name, shape in cfg.shapes().items():
+            if name in starts:
+                np.testing.assert_array_equal(getattr(net, name),
+                                              np.full(shape, starts[name]))
+
     @pytest.mark.parametrize("kwargs", [
         {"input_dim": 0},
         {"dropout_rate": 1.0},
@@ -95,6 +114,30 @@ class TestInit:
 
     def test_zero_learning_rate_is_legal(self):
         assert tiny_cfg(learning_rate=0.0).learning_rate == 0.0
+
+
+class TestConstructor:
+    def test_missing_entry_refused(self):
+        cfg = tiny_cfg(norm="batch")
+        arrays = init_net(cfg).snapshot()
+        del arrays["running_var"]
+        with pytest.raises(ValueError, match="holds"):
+            SurrogateNet(cfg, **arrays)
+
+    def test_extra_entry_refused(self):
+        cfg = tiny_cfg(norm="none")
+        arrays = init_net(cfg).snapshot()
+        with pytest.raises(ValueError, match="holds"):
+            SurrogateNet(cfg, gain=np.ones(cfg.hidden_width), **arrays)
+
+    @pytest.mark.parametrize("name", ["W1", "b1", "gain", "bias", "W2", "b2",
+                                      "running_mean", "running_var"])
+    def test_reshaped_entry_refused_by_name(self, name):
+        cfg = tiny_cfg(norm="batch")
+        arrays = init_net(cfg).snapshot()
+        arrays[name] = arrays[name].reshape(1, -1)
+        with pytest.raises(ValueError, match=f"^{name} has shape"):
+            SurrogateNet(cfg, **arrays)
 
 
 class TestForward:
@@ -398,6 +441,23 @@ class TestInPlaceMatchesExpressionForm:
             tracemalloc.stop()
         assert peak <= 3 * 4096 * 256 * 8
 
+    @pytest.mark.parametrize("norm", ["layer", "batch", "none"])
+    def test_eval_loss_peak_memory(self, norm):
+        # the loss terms take about five (rows, M) arrays; the forward cache
+        # (two (rows, H) arrays) must be gone before they are built
+        cfg = NetConfig(input_dim=20, hidden_width=256, output_dim=200, norm=norm, seed=1)
+        net = init_net(cfg)
+        rng = np.random.default_rng(3)
+        X, Y = rng.random((4096, 20)), rng.random((4096, 200))
+        eval_loss(net, X, Y)
+        tracemalloc.start()
+        try:
+            eval_loss(net, X, Y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * 4096 * 200 * 8
+
 
 class TestEarlyStopper:
     def test_strict_improvement_semantics(self):
@@ -580,7 +640,7 @@ class TestPersistence:
         assert back.config == cfg
         X = np.random.default_rng(0).random((7, 2))
         np.testing.assert_array_equal(predict(back, X), predict(net, X))
-        for name in cfg.param_names() + cfg.state_names():
+        for name in cfg.shapes():
             np.testing.assert_array_equal(getattr(back, name), getattr(net, name))
 
     def test_entries_must_be_the_ones_the_config_needs(self, tmp_path):
