@@ -150,11 +150,8 @@ def al_train(spec: ModelSpec, draws: PosteriorDraws, cfg: ALConfig,
         sigma = uncertainty(net, X_pool, cfg.K, score_rng)
         idx = acquire(acquisition_probs(sigma), cfg.I_al, acq_rng)
         acquired = generate_at(spec, draws, X_pool[idx])
-        train_set = LabeledSet(
-            np.vstack([train_set.X, acquired.X]),
-            np.vstack([train_set.Y, acquired.Y]),
-            dict(train_set.meta, I=len(train_set) + len(acquired)),
-        )
+        train_set = LabeledSet(np.vstack([train_set.X, acquired.X]),
+                               np.vstack([train_set.Y, acquired.Y]))
         net, hist = train(net, train_set, val_set, cfg.intra_patience, cfg.max_epochs,
                           shuffle_rng=shuffle_rng, dropout_rng=dropout_rng)
         records.append(RoundRecord(r, len(train_set), hist.train_loss[-1],

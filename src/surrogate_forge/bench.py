@@ -43,12 +43,9 @@ class BenchReport:
 def run_speed_sweep(J_list, M: int, N_test: int, net_cfg: NetConfig,
                     al_cfg: ALConfig, *, seed: int = 0, threads: int = 1,
                     reps: int = 5, n_observed: int = 1000,
-                    sampler: SamplerConfig | None = None,
-                    link: str = "sigmoid") -> BenchReport:
+                    sampler: SamplerConfig, link: str = "sigmoid") -> BenchReport:
     """Fresh ground truth, posterior, and surrogate per J; then timed
     reference predictions vs timed surrogate forward passes on one test set."""
-    if sampler is None:
-        sampler = SamplerConfig()
     built = []
     for J in sorted(J_list):
         child = derive_seed(seed, f"sweep-j{J}")

@@ -94,7 +94,7 @@ def predict_batch_timed(spec: ModelSpec, draws: PosteriorDraws, X,
     else:
         predictions = mat
     wall = time.perf_counter() - t0
-    return TimedBatchResult(predictions, wall, min(threads, max(len(draws), 1)))
+    return TimedBatchResult(predictions, wall, min(threads, len(draws)))
 
 
 def export_predictions_csv(path, X, predictions) -> None:
@@ -104,10 +104,9 @@ def export_predictions_csv(path, X, predictions) -> None:
     predictions = np.asarray(predictions, dtype=float)
     if predictions.ndim == 1:
         cols = ["y_mean"]
-        body = np.column_stack([X, predictions])
     else:
         cols = [f"y_{m}" for m in range(predictions.shape[1])]
-        body = np.column_stack([X, predictions])
+    body = np.column_stack([X, predictions])
     header = ",".join([f"x_{j}" for j in range(X.shape[1])] + cols)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)

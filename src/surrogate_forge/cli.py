@@ -83,14 +83,18 @@ def _load_net_or_train(cfg: RunConfig, auto: bool):
             raise ArtifactError(
                 f"net artifact missing under {man.parent} (run train or pass --auto)")
         _train(cfg, use_al=False, auto=auto)
-    return load_net(man, blob)
+    net = load_net(man, blob)
+    if net.config.input_dim != cfg.spec.J:
+        raise ArtifactError(f"stored net expects {net.config.input_dim} inputs, "
+                            f"model has J={cfg.spec.J}")
+    return net
 
 
 def _gen_data(cfg: RunConfig, auto: bool) -> None:
     draws = _load_posterior_or_fit(cfg, auto)
     ls = generate(cfg.spec, draws, cfg.datagen)
     out = cfg.artifacts / "data"
-    save_labeled_set(ls, out)
+    save_labeled_set(ls, out, cfg.datagen)
     print(f"labeled set: {len(ls)} rows -> {out}")
 
 
@@ -149,11 +153,7 @@ def _predict(cfg: RunConfig, engine: str, mode: str, x_csv, auto: bool) -> None:
         print(f"bm prediction: {X.shape[0]} rows in {result.wall_time:.3f}s "
               f"on {result.threads_used} threads")
     else:
-        net = _load_net_or_train(cfg, auto)
-        if net.config.input_dim != cfg.spec.J:
-            raise ArtifactError(f"stored net expects {net.config.input_dim} inputs, "
-                                f"model has J={cfg.spec.J}")
-        preds = predict(net, X)
+        preds = predict(_load_net_or_train(cfg, auto), X)
         if mode == "mean":
             preds = preds.mean(axis=1)
         print(f"nn prediction: {X.shape[0]} rows")
@@ -197,6 +197,9 @@ def _bench_calibration(cfg: RunConfig, auto: bool) -> None:
 
     draws = _load_posterior_or_fit(cfg, auto)
     net = _load_net_or_train(cfg, auto)
+    if net.config.output_dim != len(draws):
+        raise ArtifactError(f"stored net has {net.config.output_dim} outputs, "
+                            f"posterior has {len(draws)} draws")
     b = cfg.bench
     pool_rng = substream(cfg.seed, "al-pool")
     X_pool = pool_rng.random((b.calibration_pool, cfg.spec.J))

@@ -55,7 +55,6 @@ class RunConfig:
     al: ALConfig
     invariance: InvarianceConfig
     bench: BenchConfig
-    workdir: Path
     artifacts: Path
     seed: int
     threads: int
@@ -159,6 +158,8 @@ def load_config(path=None, *, seed=None, threads=None, out=None) -> RunConfig:
                  output_dim=sampler.samples, seed=root_seed)
     al = _build("al", _section(doc, "al"), seed=root_seed)
     invariance = _build("invariance", _section(doc, "invariance"), seed=root_seed)
+    if invariance.j >= spec.J:
+        raise ConfigError(f"invariance: j must be < model.J ({spec.J}), got {invariance.j}")
     bench = _build("bench", _section(doc, "bench"))
     _check_int("model.n_observed", n_observed, 1)
     _check_number("model.truth_sigma2", truth_sigma2)
@@ -175,5 +176,5 @@ def load_config(path=None, *, seed=None, threads=None, out=None) -> RunConfig:
 
     return RunConfig(spec=spec, n_observed=n_observed, truth_sigma2=truth_sigma2,
                      sampler=sampler, datagen=datagen, net=net, al=al,
-                     invariance=invariance, bench=bench, workdir=workdir,
-                     artifacts=artifacts, seed=root_seed, threads=n_threads)
+                     invariance=invariance, bench=bench, artifacts=artifacts,
+                     seed=root_seed, threads=n_threads)

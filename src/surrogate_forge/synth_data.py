@@ -7,7 +7,7 @@ the per-draw expectation vector from the reference predictor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,6 @@ from .seeds import substream
 from .serialize import ArtifactError, read_blob, read_manifest, write_blob, write_manifest
 
 INPUT_DISTS = ("uniform01", "standard_gaussian")
-_META_KEYS = ("I", "J", "M", "tau", "seed", "input_dist")
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,6 @@ class DataGenConfig:
 class LabeledSet:
     X: np.ndarray
     Y: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -69,14 +67,9 @@ def generate(spec: ModelSpec, draws: PosteriorDraws, cfg: DataGenConfig) -> Labe
     seed always yields the same set.
     """
     rng = substream(cfg.seed, "data-gen")
-    J = spec.J
-    mask = rng.random((cfg.I, J)) < cfg.tau
-    X = _draw_inputs(rng, cfg.input_dist, (cfg.I, J))
-    X = np.where(mask, X, 0.0)
-    Y = predict_batch(spec, draws, X)
-    meta = {"I": cfg.I, "J": J, "M": len(draws), "tau": cfg.tau,
-            "seed": cfg.seed, "input_dist": cfg.input_dist}
-    return LabeledSet(X, Y, meta)
+    mask = rng.random((cfg.I, spec.J)) < cfg.tau
+    X = _draw_inputs(rng, cfg.input_dist, (cfg.I, spec.J))
+    return generate_at(spec, draws, np.where(mask, X, 0.0))
 
 
 def generate_at(spec: ModelSpec, draws: PosteriorDraws, X_fixed) -> LabeledSet:
@@ -86,26 +79,24 @@ def generate_at(spec: ModelSpec, draws: PosteriorDraws, X_fixed) -> LabeledSet:
         raise ValueError(f"X_fixed must be (N, {spec.J})")
     if not np.all(np.isfinite(X_fixed)):
         raise ValueError("X_fixed must be finite")
-    Y = predict_batch(spec, draws, X_fixed)
-    meta = {"I": X_fixed.shape[0], "J": spec.J, "M": len(draws),
-            "tau": None, "seed": None, "input_dist": "fixed"}
-    return LabeledSet(X_fixed.copy(), Y, meta)
+    return LabeledSet(X_fixed.copy(), predict_batch(spec, draws, X_fixed))
 
 
-def save_labeled_set(ls: LabeledSet, directory) -> None:
-    """Write manifest.json (dims, provenance, blob layout) and data.f64 (X then Y)."""
+def save_labeled_set(ls: LabeledSet, directory, cfg: DataGenConfig) -> None:
+    """Write manifest.json (dims from the arrays, provenance from cfg, blob
+    layout) and data.f64 (X then Y)."""
     directory = Path(directory)
     layout = write_blob(directory / "data.f64", {"X": ls.X, "Y": ls.Y})
-    meta = {k: ls.meta.get(k) for k in _META_KEYS}
-    meta.update(I=len(ls), J=ls.X.shape[1], M=ls.Y.shape[1])
-    write_manifest(directory / "manifest.json", "labeled_set", {**meta, "layout": layout})
+    write_manifest(directory / "manifest.json", "labeled_set", {
+        "I": len(ls), "J": ls.X.shape[1], "M": ls.Y.shape[1], "tau": cfg.tau,
+        "seed": cfg.seed, "input_dist": cfg.input_dist, "layout": layout})
 
 
 def load_labeled_set(directory) -> LabeledSet:
     directory = Path(directory)
-    doc = read_manifest(directory / "manifest.json", "labeled_set", _META_KEYS + ("layout",))
-    meta = {k: doc[k] for k in _META_KEYS}
+    doc = read_manifest(directory / "manifest.json", "labeled_set",
+                        ("I", "J", "M", "tau", "seed", "input_dist", "layout"))
     X, Y = read_blob(directory / "data.f64", doc["layout"], ("X", "Y")).values()
-    if X.shape != (meta["I"], meta["J"]) or Y.shape != (meta["I"], meta["M"]):
+    if X.shape != (doc["I"], doc["J"]) or Y.shape != (doc["I"], doc["M"]):
         raise ArtifactError("labeled set blob layout disagrees with manifest dimensions")
-    return LabeledSet(X, Y, meta)
+    return LabeledSet(X, Y)

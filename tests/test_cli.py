@@ -107,6 +107,17 @@ class TestConfigErrors:
         assert err.startswith("config error:") and "dropout_rate" in err
         assert not (tmp_path / "arts" / "posterior").exists()
 
+    @pytest.mark.parametrize("argv", [["fit-bm"], ["bench", "invariance", "--auto"]],
+                             ids=["fit_bm", "bench_invariance"])
+    def test_invariance_column_outside_model_exits_2(self, tiny_cfg, tmp_path, capsys, argv):
+        doc = json.loads(tiny_cfg.read_text())
+        doc["invariance"] = {"j": 5}
+        tiny_cfg.write_text(json.dumps(doc))
+        assert run([*argv, "--config", tiny_cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invariance: j") and err.count("\n") == 1
+        assert not (tmp_path / "arts").exists()
+
 
 class TestFitBm:
     def test_writes_posterior_artifacts(self, tiny_cfg, tmp_path, capsys):
@@ -382,6 +393,25 @@ class TestBench:
         assert (tmp_path / "arts" / "bench" / "calibration.csv").exists()
         inv_files = report["invariance"]["files"]
         assert inv_files and all((tmp_path / "arts").exists() for _ in inv_files)
+
+
+    @pytest.mark.parametrize("train_edit,message", [
+        (lambda doc: doc["model"].update(J=3), "stored net expects 3 inputs, model has J=2"),
+        (lambda doc: doc["sampler"].update(samples=12),
+         "stored net has 12 outputs, posterior has 20 draws"),
+    ], ids=["input_width", "output_width"])
+    def test_calibration_refuses_a_net_of_another_run(self, tiny_cfg, tmp_path, capsys,
+                                                      train_edit, message):
+        doc = json.loads(tiny_cfg.read_text())
+        train_edit(doc)
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(doc))
+        assert run(["train", "--config", other, "--auto"]) == EXIT_OK
+        assert run(["fit-bm", "--config", tiny_cfg]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["bench", "calibration", "--config", tiny_cfg]) == EXIT_MISSING
+        err = capsys.readouterr().err
+        assert err == f"artifact error: {message}\n"
 
 
 class TestErrorExitCodes:

@@ -82,7 +82,6 @@ class TestOverrides:
         path = write_cfg(tmp_path, {"paths": {"workdir": str(tmp_path)}})
         monkeypatch.setenv(WORKDIR_ENV, str(other))
         cfg = load_config(path)
-        assert cfg.workdir == other
         assert cfg.artifacts == other / "artifacts"
 
     def test_missing_workdir_rejected(self, tmp_path):
@@ -166,6 +165,8 @@ class TestRejection:
         ({"sampler": {"warmup": -1}}, "sampler: warmup must be >= 0"),
         ({"al": {"max_epochs": 0}}, "al: max_epochs must be >= 1"),
         ({"invariance": {"max_epochs": 0}}, "invariance: max_epochs must be >= 1"),
+        ({"model": {"J": 2}, "invariance": {"j": 5}}, "invariance: j must be < model.J (2), got 5"),
+        ({"model": {"J": 2}, "invariance": {"j": 2}}, "invariance: j must be < model.J (2), got 2"),
     ])
     def test_range_error_names_its_section(self, tmp_path, doc, message):
         path = write_cfg(tmp_path, doc)

@@ -19,7 +19,8 @@ from surrogate_forge import ModelSpec
 from surrogate_forge.posterior import load_posterior, save_posterior
 from surrogate_forge.serialize import ArtifactError
 from surrogate_forge.surrogate import NetConfig, init_net, load_net, save_net
-from surrogate_forge.synth_data import LabeledSet, load_labeled_set, save_labeled_set
+from surrogate_forge.synth_data import (DataGenConfig, LabeledSet, load_labeled_set,
+                                         save_labeled_set)
 
 from draw_sets import make_draws
 
@@ -32,8 +33,8 @@ def _save_posterior(d):
 
 def _save_labeled_set(d):
     rng = np.random.default_rng(0)
-    meta = {"tau": 0.8, "seed": 0, "input_dist": "uniform01"}
-    save_labeled_set(LabeledSet(rng.random((6, 3)), rng.random((6, 5)), meta), d)
+    save_labeled_set(LabeledSet(rng.random((6, 3)), rng.random((6, 5))), d,
+                     DataGenConfig(I=6))
 
 
 def _save_net(d):

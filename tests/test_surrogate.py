@@ -494,7 +494,7 @@ def _toy_sets(rng, I=64, J=2, M=2, val=16):
     Ytr = np.column_stack([Xtr.sum(axis=1), Xtr[:, 0] - Xtr[:, 1]])[:, :M]
     Xv = rng.random((val, J))
     Yv = np.column_stack([Xv.sum(axis=1), Xv[:, 0] - Xv[:, 1]])[:, :M]
-    return (LabeledSet(Xtr, Ytr, {"I": I}), LabeledSet(Xv, Yv, {"I": val}))
+    return LabeledSet(Xtr, Ytr), LabeledSet(Xv, Yv)
 
 
 class TestTrain:
@@ -561,13 +561,13 @@ class TestTrain:
 
     def test_empty_training_set_rejected(self):
         _, val_set = _toy_sets(np.random.default_rng(7))
-        empty = LabeledSet(np.zeros((0, 2)), np.zeros((0, 2)), {})
+        empty = LabeledSet(np.zeros((0, 2)), np.zeros((0, 2)))
         with pytest.raises(ValueError):
             train(init_net(tiny_cfg()), empty, val_set, patience=1, max_epochs=1)
 
     def test_empty_validation_set_rejected(self):
         train_set, _ = _toy_sets(np.random.default_rng(7))
-        empty = LabeledSet(np.zeros((0, 2)), np.zeros((0, 2)), {})
+        empty = LabeledSet(np.zeros((0, 2)), np.zeros((0, 2)))
         with pytest.raises(ValueError, match="validation set is empty"):
             train(init_net(tiny_cfg()), train_set, empty, patience=1, max_epochs=1)
 

@@ -69,12 +69,20 @@ class TestGenerate:
         np.testing.assert_array_equal(a.Y, b.Y)
         assert not np.array_equal(a.X, c.X)
 
-    def test_meta_fields(self, spec3, draws3):
-        ls = generate(spec3, draws3, DataGenConfig(I=20, tau=0.6, seed=10))
-        meta = ls.meta
-        assert meta["I"] == 20 and meta["J"] == 3 and meta["M"] == len(draws3)
-        assert meta["tau"] == 0.6 and meta["seed"] == 10
-        assert meta["input_dist"] == "uniform01"
+    def test_meta_fields(self, tmp_path, spec3, draws3):
+        cfg = DataGenConfig(I=20, tau=0.6, seed=10)
+        save_labeled_set(generate(spec3, draws3, cfg), tmp_path, cfg)
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        assert doc["I"] == 20 and doc["J"] == 3 and doc["M"] == len(draws3)
+        assert doc["tau"] == 0.6 and doc["seed"] == 10
+        assert doc["input_dist"] == "uniform01"
+
+    @pytest.mark.parametrize("input_dist", ["uniform01", "standard_gaussian"])
+    def test_labels_its_masked_inputs_through_generate_at(self, spec3, draws3, input_dist):
+        ls = generate(spec3, draws3, DataGenConfig(I=40, tau=0.7, input_dist=input_dist, seed=12))
+        at = generate_at(spec3, draws3, ls.X)
+        assert at.X.tobytes() == ls.X.tobytes()
+        assert at.Y.tobytes() == ls.Y.tobytes()
 
 
 class TestGenerateAt:
@@ -99,7 +107,7 @@ class TestGenerateAt:
 class TestLabeledSet:
     def test_row_count_must_agree(self):
         with pytest.raises(ValueError):
-            LabeledSet(np.zeros((3, 2)), np.zeros((4, 5)), {})
+            LabeledSet(np.zeros((3, 2)), np.zeros((4, 5)))
 
     def test_len(self, spec3, draws3):
         ls = generate(spec3, draws3, DataGenConfig(I=17, seed=0))
@@ -108,8 +116,9 @@ class TestLabeledSet:
 
 class TestPersistence:
     def _saved(self, tmp_path, spec3, draws3):
-        ls = generate(spec3, draws3, DataGenConfig(I=30, tau=0.8, seed=2))
-        save_labeled_set(ls, tmp_path / "data")
+        cfg = DataGenConfig(I=30, tau=0.8, seed=2)
+        ls = generate(spec3, draws3, cfg)
+        save_labeled_set(ls, tmp_path / "data", cfg)
         return ls, tmp_path / "data"
 
     def _edit_manifest(self, directory, **changes):
@@ -128,7 +137,9 @@ class TestPersistence:
         back = load_labeled_set(d)
         assert back.X.tobytes() == ls.X.tobytes()
         assert back.Y.tobytes() == ls.Y.tobytes()
-        assert back.meta == ls.meta
+        doc = json.loads((d / "manifest.json").read_text())
+        assert {k: doc[k] for k in ("I", "J", "M", "tau", "seed", "input_dist")} == {
+            "I": 30, "J": 3, "M": len(draws3), "tau": 0.8, "seed": 2, "input_dist": "uniform01"}
 
     def test_dims_mismatch_detected(self, tmp_path, spec3, draws3):
         _, d = self._saved(tmp_path, spec3, draws3)
