@@ -2,13 +2,15 @@
 
 Subcommands: fit-bm, gen-data, train [--al], predict [--engine bm|nn],
 bench <speed|calibration|invariance|crossover>. Exit codes:
-0 ok, 2 config, 3 sampler, 4 training, 5 missing artifact.
+0 ok, 2 config, 3 sampler, 4 training, 5 missing artifact or one from
+another run.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import sys
 import warnings
 from pathlib import Path
@@ -25,7 +27,7 @@ from .posterior import SamplerInitError, load_posterior, sample_posterior, save_
 from .seeds import substream
 from .serialize import ArtifactError, read_manifest, write_csv, write_manifest
 from .surrogate import TrainingDiverged, load_net, predict, save_net
-from .synth_data import generate, load_labeled_set, save_labeled_set
+from .synth_data import LabeledSet, generate, load_labeled_set, save_labeled_set
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,6 +44,11 @@ def _posterior_paths(cfg: RunConfig) -> tuple[Path, Path]:
 def _net_paths(cfg: RunConfig) -> tuple[Path, Path]:
     d = cfg.artifacts / "net"
     return d / "manifest.json", d / "params.f64"
+
+
+def _posterior_sha256(cfg: RunConfig) -> str:
+    """The digest that names the stored posterior in the set and net manifests."""
+    return hashlib.sha256(_posterior_paths(cfg)[1].read_bytes()).hexdigest()
 
 
 def _fit_bm(cfg: RunConfig) -> None:
@@ -90,31 +97,45 @@ def _load_net_or_train(cfg: RunConfig, auto: bool):
     return net
 
 
-def _gen_data(cfg: RunConfig, auto: bool) -> None:
-    draws = _load_posterior_or_fit(cfg, auto)
+def _label_and_store(cfg: RunConfig, draws, digest: str) -> LabeledSet:
+    """Label the datagen set and store it under data/, where train reads it."""
     ls = generate(cfg.spec, draws, cfg.datagen)
     out = cfg.artifacts / "data"
-    save_labeled_set(ls, out, cfg.datagen)
+    save_labeled_set(ls, out, cfg.datagen, digest)
     print(f"labeled set: {len(ls)} rows -> {out}")
+    return ls
+
+
+def _gen_data(cfg: RunConfig, auto: bool) -> None:
+    _label_and_store(cfg, _load_posterior_or_fit(cfg, auto), _posterior_sha256(cfg))
 
 
 def _train(cfg: RunConfig, use_al: bool, auto: bool) -> None:
     draws = _load_posterior_or_fit(cfg, auto)
+    digest = _posterior_sha256(cfg)
     spec = cfg.spec
     net_cfg = dataclasses.replace(cfg.net, output_dim=len(draws))
     man, blob = _net_paths(cfg)
     hist_path = man.parent / "history.csv"
     if use_al:
         net, records = al_train(spec, draws, cfg.al, net_cfg)
-        save_net(net, man, blob)
+        save_net(net, man, blob, digest)
         write_history_csv(records, hist_path)
         print(f"al training: {records[-1].round} rounds, "
               f"final |D^NN| = {records[-1].dataset_size}, "
               f"best val loss = {min(r.val_loss for r in records):.6g}")
     else:
-        train_set = generate(spec, draws, cfg.datagen)
+        data_dir = cfg.artifacts / "data"
+        if (data_dir / "manifest.json").exists():
+            try:
+                train_set = load_labeled_set(data_dir, {**dataclasses.asdict(cfg.datagen),
+                                                        "posterior_sha256": digest})
+            except ArtifactError as err:
+                raise ArtifactError(f"{err}; re-run gen-data") from err
+        else:
+            train_set = _label_and_store(cfg, draws, digest)
         net, hist, _ = train_new(spec, draws, train_set, net_cfg, cfg.al)
-        save_net(net, man, blob)
+        save_net(net, man, blob, digest)
         write_csv(hist_path, "epoch,train_loss,val_loss",
                   (f"{e},{tl:.17g},{vl:.17g}" for e, (tl, vl)
                    in enumerate(zip(hist.train_loss, hist.val_loss), start=1)))
@@ -197,11 +218,10 @@ def _bench_calibration(cfg: RunConfig, auto: bool) -> None:
 
     draws = _load_posterior_or_fit(cfg, auto)
     net = _load_net_or_train(cfg, auto)
-    if net.config.output_dim != len(draws):
-        raise ArtifactError(f"stored net has {net.config.output_dim} outputs, "
-                            f"posterior has {len(draws)} draws")
+    read_manifest(_net_paths(cfg)[0], "surrogate_net", (),
+                  {"posterior_sha256": _posterior_sha256(cfg)})
     b = cfg.bench
-    pool_rng = substream(cfg.seed, "al-pool")
+    pool_rng = substream(cfg.seed, "calibration-pool")
     X_pool = pool_rng.random((b.calibration_pool, cfg.spec.J))
     sigma, mu_rmse = calibration_data(net, cfg.spec, draws, X_pool,
                                       b.calibration_K, substream(cfg.seed, "al-score"))
@@ -257,7 +277,8 @@ def main(argv=None) -> int:
     sub.add_parser("gen-data", parents=[common],
                    help="synthesize a labeled surrogate training set")
     p_train = sub.add_parser("train", parents=[common],
-                             help="train the surrogate")
+                             help="train the surrogate; without --al on the labeled set in "
+                                  "data/, labelling and storing it first if it is missing")
     p_train.add_argument("--al", action="store_true",
                          help="grow the training set by active learning")
     p_pred = sub.add_parser("predict", parents=[common],

@@ -29,9 +29,11 @@ def write_manifest(path: str | Path, kind: str, payload: dict) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def read_manifest(path: str | Path, kind: str, keys: tuple[str, ...]) -> dict:
+def read_manifest(path: str | Path, kind: str, keys: tuple[str, ...],
+                  expect: dict | None = None) -> dict:
     """The manifest at path, refused unless it has this build's version, the
-    given kind and every one of the given keys, which are those its caller reads."""
+    given kind, every one of the given keys (those its caller reads) and, for
+    each key of expect, the value expect gives: the run it must belong to."""
     path = Path(path)
     if not path.exists():
         raise ArtifactError(f"manifest not found: {path}")
@@ -47,9 +49,11 @@ def read_manifest(path: str | Path, kind: str, keys: tuple[str, ...]) -> dict:
             f"manifest {path} has format_version {version!r}; "
             f"this build reads version {FORMAT_VERSION}"
         )
-    if doc.get("kind") != kind:
-        raise ArtifactError(f"manifest {path} has kind {doc.get('kind')!r}, expected {kind!r}")
-    missing = [k for k in keys if k not in doc]
+    expect = {"kind": kind, **(expect or {})}
+    for k, want in expect.items():
+        if k in doc and doc[k] != want:
+            raise ArtifactError(f"manifest {path} has {k} {doc[k]!r}, expected {want!r}")
+    missing = [k for k in (*expect, *keys) if k not in doc]
     if missing:
         raise ArtifactError(f"manifest {path} lacks {', '.join(missing)}")
     return doc

@@ -450,10 +450,11 @@ def mc_dropout_predict(net: SurrogateNet, x, K: int,
     return out.T.copy()
 
 
-def save_net(net: SurrogateNet, manifest_path, blob_path) -> None:
+def save_net(net: SurrogateNet, manifest_path, blob_path, posterior_sha256: str) -> None:
     cfg = net.config
     layout = write_blob(blob_path, {n: getattr(net, n) for n in cfg.shapes()})
-    write_manifest(manifest_path, "surrogate_net", {"config": asdict(cfg), "parameters": layout})
+    write_manifest(manifest_path, "surrogate_net", {"config": asdict(cfg), "parameters": layout,
+                                                    "posterior_sha256": posterior_sha256})
 
 
 def load_net(manifest_path, blob_path) -> SurrogateNet:

@@ -82,20 +82,24 @@ def generate_at(spec: ModelSpec, draws: PosteriorDraws, X_fixed) -> LabeledSet:
     return LabeledSet(X_fixed.copy(), predict_batch(spec, draws, X_fixed))
 
 
-def save_labeled_set(ls: LabeledSet, directory, cfg: DataGenConfig) -> None:
-    """Write manifest.json (dims from the arrays, provenance from cfg, blob
-    layout) and data.f64 (X then Y)."""
+def save_labeled_set(ls: LabeledSet, directory, cfg: DataGenConfig,
+                     posterior_sha256: str) -> None:
+    """Write manifest.json (dims from the arrays, provenance from cfg and the
+    digest of the posterior blob that labelled it, blob layout) and data.f64
+    (X then Y)."""
     directory = Path(directory)
     layout = write_blob(directory / "data.f64", {"X": ls.X, "Y": ls.Y})
     write_manifest(directory / "manifest.json", "labeled_set", {
         "I": len(ls), "J": ls.X.shape[1], "M": ls.Y.shape[1], "tau": cfg.tau,
-        "seed": cfg.seed, "input_dist": cfg.input_dist, "layout": layout})
+        "seed": cfg.seed, "input_dist": cfg.input_dist, "layout": layout,
+        "posterior_sha256": posterior_sha256})
 
 
-def load_labeled_set(directory) -> LabeledSet:
+def load_labeled_set(directory, expect: dict | None = None) -> LabeledSet:
+    """The stored set, refused unless its manifest holds expect's values."""
     directory = Path(directory)
     doc = read_manifest(directory / "manifest.json", "labeled_set",
-                        ("I", "J", "M", "tau", "seed", "input_dist", "layout"))
+                        ("I", "J", "M", "tau", "seed", "input_dist", "layout"), expect)
     X, Y = read_blob(directory / "data.f64", doc["layout"], ("X", "Y")).values()
     if X.shape != (doc["I"], doc["J"]) or Y.shape != (doc["I"], doc["M"]):
         raise ArtifactError("labeled set blob layout disagrees with manifest dimensions")

@@ -1,6 +1,7 @@
 """End-to-end command-line checks: exit codes, artifact layout, flag
 placement, and byte-level reproducibility of stored artifacts."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -197,6 +198,50 @@ class TestTrain:
         assert (tmp_path / "arts" / "net" / "params.f64").read_bytes() == first
         assert (tmp_path / "arts" / "net" / "manifest.json").read_bytes() == man1
 
+    def test_gen_data_then_train_labels_the_set_once(self, tiny_cfg, monkeypatch):
+        assert run(["fit-bm", "--config", tiny_cfg]) == EXIT_OK
+        calls = []
+        real = cli.generate
+        monkeypatch.setattr(cli, "generate", lambda *args: calls.append(args) or real(*args))
+        assert run(["gen-data", "--config", tiny_cfg]) == EXIT_OK
+        assert run(["train", "--config", tiny_cfg]) == EXIT_OK
+        assert len(calls) == 1
+
+    def test_train_stores_the_set_gen_data_stores(self, tiny_cfg, tmp_path):
+        for out, stages in (("a", ["gen-data", "train"]), ("b", ["train"])):
+            for stage in ["fit-bm", *stages]:
+                assert run([stage, "--config", tiny_cfg, "--out", tmp_path / out]) == EXIT_OK
+        for rel in ("data/manifest.json", "data/data.f64", "net/manifest.json", "net/params.f64"):
+            assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes(), rel
+        digest = hashlib.sha256((tmp_path / "b" / "posterior" / "draws.f64").read_bytes())
+        for artifact, kind in (("data", "labeled_set"), ("net", "surrogate_net")):
+            doc = read_manifest(tmp_path / "b" / artifact / "manifest.json", kind, ())
+            assert doc["posterior_sha256"] == digest.hexdigest()
+
+    @pytest.mark.parametrize("stage,edit,key", [
+        ("gen-data", lambda doc: doc["datagen"].update(I=65), "I"),
+        ("gen-data", lambda doc: doc["datagen"].update(tau=0.7), "tau"),
+        ("gen-data", lambda doc: doc.update(seed=12), "seed"),
+        ("gen-data", lambda doc: doc["datagen"].update(input_dist="standard_gaussian"),
+         "input_dist"),
+        ("fit-bm", lambda doc: doc["sampler"].update(warmup=60), "posterior_sha256"),
+    ], ids=["I", "tau", "seed", "input_dist", "posterior"])
+    def test_refuses_a_set_of_another_run(self, tiny_cfg, tmp_path, capsys, stage, edit, key):
+        assert run(["fit-bm", "--config", tiny_cfg]) == EXIT_OK
+        assert run(["gen-data", "--config", tiny_cfg]) == EXIT_OK
+        doc = json.loads(tiny_cfg.read_text())
+        edit(doc)
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(doc))
+        assert run([stage, "--config", other]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["train", "--config", tiny_cfg]) == EXIT_MISSING
+        err = capsys.readouterr().err
+        manifest = tmp_path / "arts" / "data" / "manifest.json"
+        assert err.startswith(f"artifact error: manifest {manifest} has {key} ")
+        assert err.endswith("; re-run gen-data\n") and err.count("\n") == 1
+        assert not (tmp_path / "arts" / "net").exists()
+
 
 class TestPredict:
     def _x_csv(self, tmp_path, rows=4):
@@ -368,6 +413,14 @@ class TestMalformedManifests:
         assert err.count("\n") == 1
 
 
+def _digest_mismatch(arts):
+    """The refusal of a net trained on another posterior than the stored one."""
+    man = arts / "net" / "manifest.json"
+    stored = json.loads(man.read_text())["posterior_sha256"]
+    needed = hashlib.sha256((arts / "posterior" / "draws.f64").read_bytes()).hexdigest()
+    return f"manifest {man} has posterior_sha256 {stored!r}, expected {needed!r}"
+
+
 class TestBench:
     def test_speed_needs_no_upstream_artifacts(self, tiny_cfg, tmp_path):
         doc = json.loads(tiny_cfg.read_text())
@@ -395,11 +448,24 @@ class TestBench:
         assert inv_files and all((tmp_path / "arts").exists() for _ in inv_files)
 
 
+    def test_calibration_pool_is_not_the_al_candidate_pool(self, tiny_cfg, monkeypatch):
+        doc = json.loads(tiny_cfg.read_text())
+        doc["bench"] = {"calibration_pool": 30, "calibration_K": 4}
+        tiny_cfg.write_text(json.dumps(doc))
+        assert run(["train", "--al", "--config", tiny_cfg, "--auto"]) == EXIT_OK
+        names = []
+        real = cli.substream
+        monkeypatch.setattr(cli, "substream",
+                            lambda seed, name: names.append(name) or real(seed, name))
+        assert run(["bench", "calibration", "--config", tiny_cfg]) == EXIT_OK
+        assert names == ["calibration-pool", "al-score"]
+
     @pytest.mark.parametrize("train_edit,message", [
-        (lambda doc: doc["model"].update(J=3), "stored net expects 3 inputs, model has J=2"),
-        (lambda doc: doc["sampler"].update(samples=12),
-         "stored net has 12 outputs, posterior has 20 draws"),
-    ], ids=["input_width", "output_width"])
+        (lambda doc: doc["model"].update(J=3),
+         lambda arts: "stored net expects 3 inputs, model has J=2"),
+        (lambda doc: doc["sampler"].update(samples=12), _digest_mismatch),
+        (lambda doc: doc["sampler"].update(warmup=60), _digest_mismatch),
+    ], ids=["input_width", "output_width", "same_widths"])
     def test_calibration_refuses_a_net_of_another_run(self, tiny_cfg, tmp_path, capsys,
                                                       train_edit, message):
         doc = json.loads(tiny_cfg.read_text())
@@ -411,7 +477,7 @@ class TestBench:
         capsys.readouterr()
         assert run(["bench", "calibration", "--config", tiny_cfg]) == EXIT_MISSING
         err = capsys.readouterr().err
-        assert err == f"artifact error: {message}\n"
+        assert err == f"artifact error: {message(tmp_path / 'arts')}\n"
 
 
 class TestErrorExitCodes:

@@ -25,6 +25,7 @@ from surrogate_forge.synth_data import (DataGenConfig, LabeledSet, load_labeled_
 from draw_sets import make_draws
 
 SPEC = ModelSpec(J=3)
+POSTERIOR_SHA256 = "0" * 64
 
 
 def _save_posterior(d):
@@ -34,13 +35,13 @@ def _save_posterior(d):
 def _save_labeled_set(d):
     rng = np.random.default_rng(0)
     save_labeled_set(LabeledSet(rng.random((6, 3)), rng.random((6, 5))), d,
-                     DataGenConfig(I=6))
+                     DataGenConfig(I=6), POSTERIOR_SHA256)
 
 
 def _save_net(d):
     # batch norm stores every kind of entry: weights, norm affine, running statistics
     net = init_net(NetConfig(input_dim=3, hidden_width=4, output_dim=5, norm="batch"))
-    save_net(net, d / "manifest.json", d / "data.f64")
+    save_net(net, d / "manifest.json", d / "data.f64", POSTERIOR_SHA256)
 
 
 # kind: (writer, loader, manifest key of the layout); every artifact is a

@@ -10,7 +10,7 @@ def test_derive_seed_is_stable():
 
 def test_derive_seed_separates_names_and_roots():
     names = ("bm-truth", "bm-data", "mcmc", "data-gen", "nn-init", "nn-dropout",
-             "nn-shuffle", "al-pool", "al-score", "al-acquire", "al-val", "inv-val",
+             "nn-shuffle", "al-pool", "calibration-pool", "al-score", "al-acquire", "al-val", "inv-val",
              "inv-mc", "inv-data-0.8", "inv-data-1.0", "sweep-j2", "sweep-j20", "bench")
     seeds = {derive_seed(7, name) for name in names}
     assert len(seeds) == len(names)

@@ -52,6 +52,22 @@ def test_manifest_missing_key(tmp_path):
         read_manifest(path, "k", ("M", "layout", "J"))
 
 
+def test_manifest_expect_refuses_another_value(tmp_path):
+    path = tmp_path / "m.json"
+    write_manifest(path, "k", {"seed": 3, "tau": 0.8, "digest": "ab"})
+    doc = read_manifest(path, "k", ("tau",), {"seed": 3, "digest": "ab"})
+    assert doc["seed"] == 3 and doc["tau"] == 0.8
+    with pytest.raises(ArtifactError, match=r"has seed 3, expected 4$"):
+        read_manifest(path, "k", (), {"seed": 4})
+    with pytest.raises(ArtifactError, match=r"has digest 'ab', expected 'cd'$"):
+        read_manifest(path, "k", (), {"tau": 0.8, "digest": "cd"})
+    with pytest.raises(ArtifactError, match=r"lacks I$"):
+        read_manifest(path, "k", (), {"I": 64})
+    # the kind is refused first, under the same rule
+    with pytest.raises(ArtifactError, match=r"has kind 'k', expected 'net'$"):
+        read_manifest(path, "net", (), {"seed": 4})
+
+
 def test_manifest_missing_or_corrupt(tmp_path):
     with pytest.raises(ArtifactError):
         read_manifest(tmp_path / "absent.json", "k", ())

@@ -635,9 +635,10 @@ class TestPersistence:
             net.running_mean = np.array([0.1] * 6)
             net.running_var = np.array([1.3] * 6)
         man, blob = tmp_path / "net.json", tmp_path / "net.f64"
-        save_net(net, man, blob)
+        save_net(net, man, blob, "0" * 64)
         back = load_net(man, blob)
         assert back.config == cfg
+        assert json.loads(man.read_text())["posterior_sha256"] == "0" * 64
         X = np.random.default_rng(0).random((7, 2))
         np.testing.assert_array_equal(predict(back, X), predict(net, X))
         for name in cfg.shapes():
@@ -646,7 +647,7 @@ class TestPersistence:
     def test_entries_must_be_the_ones_the_config_needs(self, tmp_path):
         # a batch-norm net's eight entries under a config that says no norm
         man, blob = tmp_path / "net.json", tmp_path / "net.f64"
-        save_net(init_net(tiny_cfg(norm="batch", hidden_width=6)), man, blob)
+        save_net(init_net(tiny_cfg(norm="batch", hidden_width=6)), man, blob, "0" * 64)
         doc = json.loads(man.read_text())
         doc["config"]["norm"] = "none"
         man.write_text(json.dumps(doc))

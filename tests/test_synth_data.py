@@ -71,11 +71,12 @@ class TestGenerate:
 
     def test_meta_fields(self, tmp_path, spec3, draws3):
         cfg = DataGenConfig(I=20, tau=0.6, seed=10)
-        save_labeled_set(generate(spec3, draws3, cfg), tmp_path, cfg)
+        save_labeled_set(generate(spec3, draws3, cfg), tmp_path, cfg, "0" * 64)
         doc = json.loads((tmp_path / "manifest.json").read_text())
         assert doc["I"] == 20 and doc["J"] == 3 and doc["M"] == len(draws3)
         assert doc["tau"] == 0.6 and doc["seed"] == 10
         assert doc["input_dist"] == "uniform01"
+        assert doc["posterior_sha256"] == "0" * 64
 
     @pytest.mark.parametrize("input_dist", ["uniform01", "standard_gaussian"])
     def test_labels_its_masked_inputs_through_generate_at(self, spec3, draws3, input_dist):
@@ -118,7 +119,7 @@ class TestPersistence:
     def _saved(self, tmp_path, spec3, draws3):
         cfg = DataGenConfig(I=30, tau=0.8, seed=2)
         ls = generate(spec3, draws3, cfg)
-        save_labeled_set(ls, tmp_path / "data", cfg)
+        save_labeled_set(ls, tmp_path / "data", cfg, "0" * 64)
         return ls, tmp_path / "data"
 
     def _edit_manifest(self, directory, **changes):
@@ -140,6 +141,13 @@ class TestPersistence:
         doc = json.loads((d / "manifest.json").read_text())
         assert {k: doc[k] for k in ("I", "J", "M", "tau", "seed", "input_dist")} == {
             "I": 30, "J": 3, "M": len(draws3), "tau": 0.8, "seed": 2, "input_dist": "uniform01"}
+
+    def test_expect_refuses_a_set_of_another_run(self, tmp_path, spec3, draws3):
+        ls, d = self._saved(tmp_path, spec3, draws3)
+        kept = load_labeled_set(d, {"seed": 2, "posterior_sha256": "0" * 64})
+        assert kept.X.tobytes() == ls.X.tobytes()
+        with pytest.raises(ArtifactError, match="has seed 2, expected 3"):
+            load_labeled_set(d, {"seed": 3})
 
     def test_dims_mismatch_detected(self, tmp_path, spec3, draws3):
         _, d = self._saved(tmp_path, spec3, draws3)
