@@ -46,11 +46,6 @@ def _net_paths(cfg: RunConfig) -> tuple[Path, Path]:
     return d / "manifest.json", d / "params.f64"
 
 
-def _posterior_sha256(cfg: RunConfig) -> str:
-    """The digest that names the stored posterior in the set and net manifests."""
-    return hashlib.sha256(_posterior_paths(cfg)[1].read_bytes()).hexdigest()
-
-
 def _fit_bm(cfg: RunConfig) -> None:
     spec = cfg.spec
     truth = sample_ground_truth(spec, substream(cfg.seed, "bm-truth"),
@@ -73,46 +68,54 @@ def _fit_bm(cfg: RunConfig) -> None:
         print(f"warning: {w}", file=sys.stderr)
 
 
-def _load_posterior_or_fit(cfg: RunConfig, auto: bool):
+def _posterior(cfg: RunConfig, auto: bool):
+    """The stored draws and the sha256 of their blob, which names them in the
+    set and net manifests; fitted first under --auto when missing."""
     man, blob = _posterior_paths(cfg)
     if not man.exists() or not blob.exists():
         if not auto:
             raise ArtifactError(
                 f"posterior artifact missing under {man.parent} (run fit-bm or pass --auto)")
         _fit_bm(cfg)
-    return load_posterior(man, blob, cfg.spec)
+    draws = load_posterior(man, blob, cfg.spec)
+    return draws, hashlib.sha256(blob.read_bytes()).hexdigest()
 
 
-def _load_net_or_train(cfg: RunConfig, auto: bool):
+def _labeled_set(cfg: RunConfig, draws, digest: str, relabel: bool = False) -> LabeledSet:
+    """The datagen set under data/, refused unless these draws labelled it
+    under these datagen fields; labelled and stored first when missing, or
+    always when relabel is set."""
+    data_dir = cfg.artifacts / "data"
+    if not relabel and (data_dir / "manifest.json").exists():
+        try:
+            return load_labeled_set(data_dir, {**dataclasses.asdict(cfg.datagen),
+                                               "posterior_sha256": digest})
+        except ArtifactError as err:
+            raise ArtifactError(f"{err}; re-run gen-data") from err
+    ls = generate(cfg.spec, draws, cfg.datagen)
+    save_labeled_set(ls, data_dir, cfg.datagen, digest)
+    print(f"labeled set: {len(ls)} rows -> {data_dir}")
+    return ls
+
+
+def _net(cfg: RunConfig, auto: bool, expect: dict | None):
+    """The stored net, refused unless its manifest holds expect's values and
+    it reads J inputs; trained first under --auto when missing."""
     man, blob = _net_paths(cfg)
     if not man.exists() or not blob.exists():
         if not auto:
             raise ArtifactError(
                 f"net artifact missing under {man.parent} (run train or pass --auto)")
         _train(cfg, use_al=False, auto=auto)
-    net = load_net(man, blob)
+    net = load_net(man, blob, expect)
     if net.config.input_dim != cfg.spec.J:
         raise ArtifactError(f"stored net expects {net.config.input_dim} inputs, "
                             f"model has J={cfg.spec.J}")
     return net
 
 
-def _label_and_store(cfg: RunConfig, draws, digest: str) -> LabeledSet:
-    """Label the datagen set and store it under data/, where train reads it."""
-    ls = generate(cfg.spec, draws, cfg.datagen)
-    out = cfg.artifacts / "data"
-    save_labeled_set(ls, out, cfg.datagen, digest)
-    print(f"labeled set: {len(ls)} rows -> {out}")
-    return ls
-
-
-def _gen_data(cfg: RunConfig, auto: bool) -> None:
-    _label_and_store(cfg, _load_posterior_or_fit(cfg, auto), _posterior_sha256(cfg))
-
-
 def _train(cfg: RunConfig, use_al: bool, auto: bool) -> None:
-    draws = _load_posterior_or_fit(cfg, auto)
-    digest = _posterior_sha256(cfg)
+    draws, digest = _posterior(cfg, auto)
     spec = cfg.spec
     net_cfg = dataclasses.replace(cfg.net, output_dim=len(draws))
     man, blob = _net_paths(cfg)
@@ -125,15 +128,7 @@ def _train(cfg: RunConfig, use_al: bool, auto: bool) -> None:
               f"final |D^NN| = {records[-1].dataset_size}, "
               f"best val loss = {min(r.val_loss for r in records):.6g}")
     else:
-        data_dir = cfg.artifacts / "data"
-        if (data_dir / "manifest.json").exists():
-            try:
-                train_set = load_labeled_set(data_dir, {**dataclasses.asdict(cfg.datagen),
-                                                        "posterior_sha256": digest})
-            except ArtifactError as err:
-                raise ArtifactError(f"{err}; re-run gen-data") from err
-        else:
-            train_set = _label_and_store(cfg, draws, digest)
+        train_set = _labeled_set(cfg, draws, digest)
         net, hist, _ = train_new(spec, draws, train_set, net_cfg, cfg.al)
         save_net(net, man, blob, digest)
         write_csv(hist_path, "epoch,train_loss,val_loss",
@@ -145,6 +140,7 @@ def _train(cfg: RunConfig, use_al: bool, auto: bool) -> None:
 
 
 def _predict(cfg: RunConfig, engine: str, mode: str, x_csv, auto: bool) -> None:
+    draws = digest = None
     if x_csv is not None:
         with warnings.catch_warnings():
             # a header-only file is reported below as having no rows
@@ -154,11 +150,8 @@ def _predict(cfg: RunConfig, engine: str, mode: str, x_csv, auto: bool) -> None:
             except ValueError as e:
                 raise ConfigError(f"cannot read input rows from {x_csv}: {e}") from e
     else:
-        data_dir = cfg.artifacts / "data"
-        if not (data_dir / "manifest.json").exists():
-            raise ArtifactError(
-                f"no input rows: pass --x-csv or generate {data_dir}/manifest.json with gen-data")
-        X = load_labeled_set(data_dir).X
+        draws, digest = _posterior(cfg, auto)
+        X = _labeled_set(cfg, draws, digest).X
     if X.ndim != 2 or X.shape[0] == 0:
         raise ConfigError(f"input has no rows (shape {X.shape})")
     if X.shape[1] != cfg.spec.J:
@@ -167,14 +160,17 @@ def _predict(cfg: RunConfig, engine: str, mode: str, x_csv, auto: bool) -> None:
         raise ConfigError("input holds non-finite values")
     out_path = cfg.artifacts / "predictions.csv"
     if engine == "bm":
-        draws = _load_posterior_or_fit(cfg, auto)
+        if draws is None:
+            draws, _ = _posterior(cfg, auto)
         result = predict_batch_timed(cfg.spec, draws, X, cfg.threads,
                                      mode="risk_min" if mode == "mean" else "draws")
         preds = result.predictions
         print(f"bm prediction: {X.shape[0]} rows in {result.wall_time:.3f}s "
               f"on {result.threads_used} threads")
     else:
-        preds = predict(_load_net_or_train(cfg, auto), X)
+        # rows from data/ name a posterior, which the net must match too
+        net = _net(cfg, auto, None if digest is None else {"posterior_sha256": digest})
+        preds = predict(net, X)
         if mode == "mean":
             preds = preds.mean(axis=1)
         print(f"nn prediction: {X.shape[0]} rows")
@@ -216,10 +212,8 @@ def _bench_speed(cfg: RunConfig) -> None:
 def _bench_calibration(cfg: RunConfig, auto: bool) -> None:
     from scipy.stats import spearmanr
 
-    draws = _load_posterior_or_fit(cfg, auto)
-    net = _load_net_or_train(cfg, auto)
-    read_manifest(_net_paths(cfg)[0], "surrogate_net", (),
-                  {"posterior_sha256": _posterior_sha256(cfg)})
+    draws, digest = _posterior(cfg, auto)
+    net = _net(cfg, auto, {"posterior_sha256": digest})
     b = cfg.bench
     pool_rng = substream(cfg.seed, "calibration-pool")
     X_pool = pool_rng.random((b.calibration_pool, cfg.spec.J))
@@ -237,7 +231,7 @@ def _bench_calibration(cfg: RunConfig, auto: bool) -> None:
 
 
 def _bench_invariance(cfg: RunConfig, auto: bool) -> None:
-    draws = _load_posterior_or_fit(cfg, auto)
+    draws, _ = _posterior(cfg, auto)
     net_cfg = dataclasses.replace(cfg.net, output_dim=len(draws))
     result = bench_mod.run_invariance_suite(cfg.spec, draws, cfg.invariance, net_cfg,
                                             out_dir=cfg.artifacts / "bench")
@@ -263,7 +257,8 @@ def main(argv=None) -> int:
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="artifact directory override")
     common.add_argument("--auto", action="store_true", default=argparse.SUPPRESS,
-                        help="build missing upstream artifacts instead of failing")
+                        help="fit a missing posterior and train a missing net "
+                             "instead of failing")
 
     parser = argparse.ArgumentParser(
         prog="surrogate-forge",
@@ -282,7 +277,8 @@ def main(argv=None) -> int:
     p_train.add_argument("--al", action="store_true",
                          help="grow the training set by active learning")
     p_pred = sub.add_parser("predict", parents=[common],
-                            help="predict with either engine")
+                            help="predict with either engine on --x-csv rows or else on "
+                                 "the labeled set in data/, labelling it first if missing")
     p_pred.add_argument("--engine", choices=("bm", "nn"), default="nn")
     p_pred.add_argument("--mode", choices=("mean", "draws"), default="mean")
     p_pred.add_argument("--x-csv", help="CSV of input rows (header + J columns)")
@@ -313,7 +309,7 @@ def main(argv=None) -> int:
         if args.command == "fit-bm":
             _fit_bm(cfg)
         elif args.command == "gen-data":
-            _gen_data(cfg, args.auto)
+            _labeled_set(cfg, *_posterior(cfg, args.auto), relabel=True)
         elif args.command == "train":
             _train(cfg, args.al, args.auto)
         elif args.command == "predict":

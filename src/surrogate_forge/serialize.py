@@ -51,7 +51,9 @@ def read_manifest(path: str | Path, kind: str, keys: tuple[str, ...],
         )
     expect = {"kind": kind, **(expect or {})}
     for k, want in expect.items():
-        if k in doc and doc[k] != want:
+        # numbers match by value (a tau stored as 1 is tau 1.0), but a bool
+        # only a bool, though Python counts True as 1
+        if k in doc and (doc[k] != want or isinstance(doc[k], bool) != isinstance(want, bool)):
             raise ArtifactError(f"manifest {path} has {k} {doc[k]!r}, expected {want!r}")
     missing = [k for k in (*expect, *keys) if k not in doc]
     if missing:

@@ -457,8 +457,9 @@ def save_net(net: SurrogateNet, manifest_path, blob_path, posterior_sha256: str)
                                                     "posterior_sha256": posterior_sha256})
 
 
-def load_net(manifest_path, blob_path) -> SurrogateNet:
-    doc = read_manifest(manifest_path, "surrogate_net", ("config", "parameters"))
+def load_net(manifest_path, blob_path, expect: dict | None = None) -> SurrogateNet:
+    """The stored net, refused unless its manifest holds expect's values."""
+    doc = read_manifest(manifest_path, "surrogate_net", ("config", "parameters"), expect)
     try:
         cfg = NetConfig(**doc["config"])
         arrays = read_blob(blob_path, doc["parameters"], list(cfg.shapes()))

@@ -329,11 +329,23 @@ class TestPredict:
         assert run(["predict", "--engine", "bm", "--x-csv", tmp_path / "nope.csv",
                     "--config", tiny_cfg, "--auto"]) == EXIT_MISSING
 
-    def test_no_inputs_at_all(self, tiny_cfg, capsys):
-        assert run(["predict", "--engine", "bm", "--config", tiny_cfg,
-                    "--auto"]) == EXIT_MISSING
+    def test_no_inputs_at_all(self, tiny_cfg, tmp_path):
+        # --auto builds the posterior, data/ and the net, and data/ is gen-data's set
+        assert run(["predict", "--engine", "nn", "--config", tiny_cfg, "--auto"]) == EXIT_OK
+        assert run(["gen-data", "--config", tiny_cfg, "--out", tmp_path / "g", "--auto"]) == EXIT_OK
+        for name in ("manifest.json", "data.f64"):
+            assert ((tmp_path / "arts" / "data" / name).read_bytes()
+                    == (tmp_path / "g" / "data" / name).read_bytes()), name
+        X = load_labeled_set(tmp_path / "arts" / "data").X
+        body = np.loadtxt(tmp_path / "arts" / "predictions.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(body[:, :2], X)
+
+    @pytest.mark.parametrize("engine", ["bm", "nn"])
+    def test_default_rows_need_a_posterior_without_auto(self, tiny_cfg, capsys, engine):
+        assert run(["predict", "--engine", engine, "--config", tiny_cfg]) == EXIT_MISSING
         err = capsys.readouterr().err
-        assert "x-csv" in err and "manifest.json" in err
+        assert err.startswith("artifact error: posterior artifact missing")
+        assert err.count("\n") == 1
 
     def test_default_inputs_are_the_generated_set(self, tiny_cfg, tmp_path):
         assert run(["gen-data", "--config", tiny_cfg, "--auto"]) == EXIT_OK
@@ -460,14 +472,13 @@ class TestBench:
         assert run(["bench", "calibration", "--config", tiny_cfg]) == EXIT_OK
         assert names == ["calibration-pool", "al-score"]
 
-    @pytest.mark.parametrize("train_edit,message", [
-        (lambda doc: doc["model"].update(J=3),
-         lambda arts: "stored net expects 3 inputs, model has J=2"),
-        (lambda doc: doc["sampler"].update(samples=12), _digest_mismatch),
-        (lambda doc: doc["sampler"].update(warmup=60), _digest_mismatch),
+    @pytest.mark.parametrize("train_edit", [
+        lambda doc: doc["model"].update(J=3),
+        lambda doc: doc["sampler"].update(samples=12),
+        lambda doc: doc["sampler"].update(warmup=60),
     ], ids=["input_width", "output_width", "same_widths"])
     def test_calibration_refuses_a_net_of_another_run(self, tiny_cfg, tmp_path, capsys,
-                                                      train_edit, message):
+                                                      train_edit):
         doc = json.loads(tiny_cfg.read_text())
         train_edit(doc)
         other = tmp_path / "other.json"
@@ -477,7 +488,28 @@ class TestBench:
         capsys.readouterr()
         assert run(["bench", "calibration", "--config", tiny_cfg]) == EXIT_MISSING
         err = capsys.readouterr().err
-        assert err == f"artifact error: {message(tmp_path / 'arts')}\n"
+        assert err == f"artifact error: {_digest_mismatch(tmp_path / 'arts')}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["train"], ["predict", "--engine", "nn"], ["predict", "--engine", "bm"],
+    ["bench", "calibration"],
+], ids=["train", "predict-nn", "predict-bm", "bench-calibration"])
+def test_every_consumer_refuses_the_artifacts_of_a_refit_posterior(tiny_cfg, tmp_path,
+                                                                   capsys, argv):
+    for stage in ("fit-bm", "gen-data", "train"):
+        assert run([stage, "--config", tiny_cfg]) == EXIT_OK
+    doc = json.loads(tiny_cfg.read_text())
+    doc["sampler"]["warmup"] = 60
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(doc))
+    assert run(["fit-bm", "--config", other]) == EXIT_OK
+    capsys.readouterr()
+    assert run([*argv, "--config", tiny_cfg]) == EXIT_MISSING
+    err = capsys.readouterr().err
+    assert err.startswith("artifact error: manifest ") and "has posterior_sha256 " in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "arts" / "predictions.csv").exists()
 
 
 class TestErrorExitCodes:

@@ -68,6 +68,24 @@ def test_manifest_expect_refuses_another_value(tmp_path):
         read_manifest(path, "net", (), {"seed": 4})
 
 
+def test_manifest_expect_matches_a_bool_only_with_a_bool(tmp_path):
+    path = tmp_path / "m.json"
+    write_manifest(path, "k", {"seed": True, "flag": 1})
+    assert read_manifest(path, "k", (), {"seed": True})["seed"] is True
+    with pytest.raises(ArtifactError, match=r"has seed True, expected 1$"):
+        read_manifest(path, "k", (), {"seed": 1})
+    with pytest.raises(ArtifactError, match=r"has flag 1, expected True$"):
+        read_manifest(path, "k", (), {"flag": True})
+
+
+def test_manifest_expect_matches_int_and_float_by_value(tmp_path):
+    path = tmp_path / "m.json"
+    write_manifest(path, "k", {"tau": 1, "I": 64.0})
+    assert read_manifest(path, "k", (), {"tau": 1.0, "I": 64})["tau"] == 1
+    with pytest.raises(ArtifactError, match=r"has tau 1, expected 1.5$"):
+        read_manifest(path, "k", (), {"tau": 1.5})
+
+
 def test_manifest_missing_or_corrupt(tmp_path):
     with pytest.raises(ArtifactError):
         read_manifest(tmp_path / "absent.json", "k", ())

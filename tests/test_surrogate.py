@@ -644,6 +644,15 @@ class TestPersistence:
         for name in cfg.shapes():
             np.testing.assert_array_equal(getattr(back, name), getattr(net, name))
 
+    def test_expect_refuses_a_net_of_another_run(self, tmp_path):
+        man, blob = tmp_path / "net.json", tmp_path / "net.f64"
+        net = init_net(tiny_cfg(hidden_width=6))
+        save_net(net, man, blob, "0" * 64)
+        kept = load_net(man, blob, {"posterior_sha256": "0" * 64})
+        np.testing.assert_array_equal(kept.W1, net.W1)
+        with pytest.raises(ArtifactError, match=r"has posterior_sha256 '0+', expected '1+'$"):
+            load_net(man, blob, {"posterior_sha256": "1" * 64})
+
     def test_entries_must_be_the_ones_the_config_needs(self, tmp_path):
         # a batch-norm net's eight entries under a config that says no norm
         man, blob = tmp_path / "net.json", tmp_path / "net.f64"
