@@ -26,8 +26,6 @@ from .bench import (
     run_invariance_suite,
     run_speed_sweep,
     timing_regression,
-    write_effect_csv,
-    write_speed_csv,
 )
 from .bm_predict import (
     predict_batch,

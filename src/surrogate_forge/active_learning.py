@@ -9,7 +9,7 @@ Two early-stopping levels: intra (epochs within a round) and inter (rounds).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -180,11 +180,5 @@ def calibration_data(net: SurrogateNet, spec: ModelSpec, draws: PosteriorDraws,
 
 
 def write_history_csv(records: list[RoundRecord], path) -> None:
-    write_csv(path, "round,dataset_size,train_loss,val_loss,wall_time_s",
-              (f"{rec.round},{rec.dataset_size},{rec.train_loss:.17g},"
-               f"{rec.val_loss:.17g},{rec.wall_time_s:.6f}" for rec in records))
-
-
-def write_calibration_csv(sigma, mu_rmse, path) -> None:
-    write_csv(path, "sigma,mu_rmse",
-              (f"{s:.17g},{r:.17g}" for s, r in zip(sigma, mu_rmse)))
+    write_csv(path, {f.name: [getattr(rec, f.name) for rec in records]
+                     for f in fields(RoundRecord)})

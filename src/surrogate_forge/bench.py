@@ -282,23 +282,10 @@ def run_invariance_suite(spec: ModelSpec, draws: PosteriorDraws,
 
     files = []
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         for (name, mode, c), cur in curves.items():
             tail = f"fixed_{c:g}" if mode == "fixed" else "marginalized"
-            path = out_dir / f"invariance_{name}_{tail}.csv"
-            write_effect_csv(cur, path)
+            path = Path(out_dir) / f"invariance_{name}_{tail}.csv"
+            write_csv(path, {"x_j": cur.x, "mean": cur.mean, "lo95": cur.lo95, "hi95": cur.hi95})
             files.append(str(path))
     return InvarianceResult(curves, summary, files)
 
-
-def write_effect_csv(curve: EffectCurve, path) -> None:
-    write_csv(path, "x_j,mean,lo95,hi95",
-              (f"{curve.x[k]:.17g},{curve.mean[k]:.17g},"
-               f"{curve.lo95[k]:.17g},{curve.hi95[k]:.17g}" for k in range(curve.x.size)))
-
-
-def write_speed_csv(report: BenchReport, path) -> None:
-    write_csv(path, "J,bm_time_s,nn_time_s,test_mse,dataset_size",
-              (f"{r['J']},{r['bm_time_s']:.6f},{r['nn_time_s']:.6f},"
-               f"{r['test_mse']:.17g},{r['final_dataset_size']}" for r in report.rows))

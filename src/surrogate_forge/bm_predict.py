@@ -11,7 +11,6 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -96,18 +95,3 @@ def predict_batch_timed(spec: ModelSpec, draws: PosteriorDraws, X,
     wall = time.perf_counter() - t0
     return TimedBatchResult(predictions, wall, min(threads, len(draws)))
 
-
-def export_predictions_csv(path, X, predictions) -> None:
-    """CSV of inputs plus predictions: y_0..y_{M-1} columns for the draw
-    matrix, one y_mean column for risk-min output."""
-    X = np.asarray(X, dtype=float)
-    predictions = np.asarray(predictions, dtype=float)
-    if predictions.ndim == 1:
-        cols = ["y_mean"]
-    else:
-        cols = [f"y_{m}" for m in range(predictions.shape[1])]
-    body = np.column_stack([X, predictions])
-    header = ",".join([f"x_{j}" for j in range(X.shape[1])] + cols)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savetxt(path, body, fmt="%.17g", delimiter=",", header=header, comments="")

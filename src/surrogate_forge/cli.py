@@ -18,14 +18,14 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .active_learning import (al_train, calibration_data, train_new, write_calibration_csv,
-                              write_history_csv)
-from .bm_predict import export_predictions_csv, predict_batch_timed
+from .active_learning import al_train, calibration_data, train_new, write_history_csv
+from .bm_predict import predict_batch_timed
 from .config import ConfigError, RunConfig, load_config
 from .model_core import generate_observed, sample_ground_truth
 from .posterior import SamplerInitError, load_posterior, sample_posterior, save_posterior
 from .seeds import substream
-from .serialize import ArtifactError, read_manifest, write_csv, write_manifest
+from .serialize import (ArtifactError, export_predictions_csv, read_manifest, write_csv,
+                        write_manifest)
 from .surrogate import TrainingDiverged, load_net, predict, save_net
 from .synth_data import LabeledSet, generate, load_labeled_set, save_labeled_set
 
@@ -98,24 +98,30 @@ def _labeled_set(cfg: RunConfig, draws, digest: str, relabel: bool = False) -> L
     return ls
 
 
-def _net(cfg: RunConfig, auto: bool, expect: dict | None):
-    """The stored net, refused unless its manifest holds expect's values and
-    it reads J inputs; trained first under --auto when missing."""
+def _net(cfg: RunConfig, auto: bool, posterior: tuple | None = None):
+    """The stored net, refused unless it reads J inputs and, when the caller
+    holds the posterior's (draws, digest), was trained on that posterior;
+    trained first under --auto when missing."""
     man, blob = _net_paths(cfg)
     if not man.exists() or not blob.exists():
         if not auto:
             raise ArtifactError(
                 f"net artifact missing under {man.parent} (run train or pass --auto)")
-        _train(cfg, use_al=False, auto=auto)
-    net = load_net(man, blob, expect)
-    if net.config.input_dim != cfg.spec.J:
-        raise ArtifactError(f"stored net expects {net.config.input_dim} inputs, "
-                            f"model has J={cfg.spec.J}")
+        _train(cfg, False, auto, posterior)
+    try:
+        net = load_net(man, blob, None if posterior is None
+                       else {"posterior_sha256": posterior[1]})
+        if net.config.input_dim != cfg.spec.J:
+            raise ArtifactError(f"stored net expects {net.config.input_dim} inputs, "
+                                f"model has J={cfg.spec.J}")
+    except ArtifactError as err:
+        raise ArtifactError(f"{err}; re-run train") from err
     return net
 
 
-def _train(cfg: RunConfig, use_al: bool, auto: bool) -> None:
-    draws, digest = _posterior(cfg, auto)
+def _train(cfg: RunConfig, use_al: bool, auto: bool, posterior: tuple | None = None) -> None:
+    """Train and store the net and its history on the caller's (draws, digest), if any."""
+    draws, digest = posterior or _posterior(cfg, auto)
     spec = cfg.spec
     net_cfg = dataclasses.replace(cfg.net, output_dim=len(draws))
     man, blob = _net_paths(cfg)
@@ -131,16 +137,15 @@ def _train(cfg: RunConfig, use_al: bool, auto: bool) -> None:
         train_set = _labeled_set(cfg, draws, digest)
         net, hist, _ = train_new(spec, draws, train_set, net_cfg, cfg.al)
         save_net(net, man, blob, digest)
-        write_csv(hist_path, "epoch,train_loss,val_loss",
-                  (f"{e},{tl:.17g},{vl:.17g}" for e, (tl, vl)
-                   in enumerate(zip(hist.train_loss, hist.val_loss), start=1)))
+        write_csv(hist_path, {"epoch": np.arange(1, len(hist.train_loss) + 1),
+                              "train_loss": hist.train_loss, "val_loss": hist.val_loss})
         print(f"training: {hist.epochs_run} epochs, dataset size {len(train_set)}, "
               f"best val loss = {hist.best_val_loss:.6g}")
     print(f"net -> {man.parent}")
 
 
 def _predict(cfg: RunConfig, engine: str, mode: str, x_csv, auto: bool) -> None:
-    draws = digest = None
+    posterior = None
     if x_csv is not None:
         with warnings.catch_warnings():
             # a header-only file is reported below as having no rows
@@ -150,8 +155,8 @@ def _predict(cfg: RunConfig, engine: str, mode: str, x_csv, auto: bool) -> None:
             except ValueError as e:
                 raise ConfigError(f"cannot read input rows from {x_csv}: {e}") from e
     else:
-        draws, digest = _posterior(cfg, auto)
-        X = _labeled_set(cfg, draws, digest).X
+        posterior = _posterior(cfg, auto)
+        X = _labeled_set(cfg, *posterior).X
     if X.ndim != 2 or X.shape[0] == 0:
         raise ConfigError(f"input has no rows (shape {X.shape})")
     if X.shape[1] != cfg.spec.J:
@@ -160,8 +165,7 @@ def _predict(cfg: RunConfig, engine: str, mode: str, x_csv, auto: bool) -> None:
         raise ConfigError("input holds non-finite values")
     out_path = cfg.artifacts / "predictions.csv"
     if engine == "bm":
-        if draws is None:
-            draws, _ = _posterior(cfg, auto)
+        draws, _ = posterior or _posterior(cfg, auto)
         result = predict_batch_timed(cfg.spec, draws, X, cfg.threads,
                                      mode="risk_min" if mode == "mean" else "draws")
         preds = result.predictions
@@ -169,7 +173,7 @@ def _predict(cfg: RunConfig, engine: str, mode: str, x_csv, auto: bool) -> None:
               f"on {result.threads_used} threads")
     else:
         # rows from data/ name a posterior, which the net must match too
-        net = _net(cfg, auto, None if digest is None else {"posterior_sha256": digest})
+        net = _net(cfg, auto, posterior)
         preds = predict(net, X)
         if mode == "mean":
             preds = preds.mean(axis=1)
@@ -197,8 +201,10 @@ def _bench_speed(cfg: RunConfig) -> None:
         b.J_list, b.M, b.N_test, cfg.net, cfg.al, seed=cfg.seed,
         threads=cfg.threads, reps=b.reps, n_observed=b.n_observed,
         sampler=sampler, link=cfg.spec.link)
-    out_dir = cfg.artifacts / "bench"
-    bench_mod.write_speed_csv(report, out_dir / "speed_sweep.csv")
+    write_csv(cfg.artifacts / "bench" / "speed_sweep.csv",
+              {name: [r[key] for r in report.rows] for name, key in (
+                  ("J", "J"), ("bm_time_s", "bm_time_s"), ("nn_time_s", "nn_time_s"),
+                  ("test_mse", "test_mse"), ("dataset_size", "final_dataset_size"))})
     fit = bench_mod.timing_regression(report)
     path = _merge_report(cfg, "speed", {"rows": report.rows, "env": report.env,
                                         "bm_linear_fit": fit})
@@ -212,15 +218,14 @@ def _bench_speed(cfg: RunConfig) -> None:
 def _bench_calibration(cfg: RunConfig, auto: bool) -> None:
     from scipy.stats import spearmanr
 
-    draws, digest = _posterior(cfg, auto)
-    net = _net(cfg, auto, {"posterior_sha256": digest})
+    posterior = _posterior(cfg, auto)
+    net = _net(cfg, auto, posterior)
     b = cfg.bench
     pool_rng = substream(cfg.seed, "calibration-pool")
     X_pool = pool_rng.random((b.calibration_pool, cfg.spec.J))
-    sigma, mu_rmse = calibration_data(net, cfg.spec, draws, X_pool,
+    sigma, mu_rmse = calibration_data(net, cfg.spec, posterior[0], X_pool,
                                       b.calibration_K, substream(cfg.seed, "al-score"))
-    out_dir = cfg.artifacts / "bench"
-    write_calibration_csv(sigma, mu_rmse, out_dir / "calibration.csv")
+    write_csv(cfg.artifacts / "bench" / "calibration.csv", {"sigma": sigma, "mu_rmse": mu_rmse})
     rho = float(spearmanr(sigma, mu_rmse).statistic)
     path = _merge_report(cfg, "calibration", {
         "pool_size": int(X_pool.shape[0]), "K": b.calibration_K,

@@ -1,4 +1,5 @@
-"""Versioned artifact persistence: JSON manifests plus raw float64 blobs.
+"""Versioned artifact persistence: JSON manifests plus raw float64 blobs,
+and the CSV files the pipeline reports in.
 
 All binary payloads are little-endian float64, row-major, written back to
 back as named entries in the order the owning manifest's layout declares.
@@ -112,8 +113,24 @@ def read_blob(path: str | Path, layout: list[dict],
     return arrays
 
 
-def write_csv(path: str | Path, header: str, lines) -> None:
-    """Write a header line and the given rows, one per line, newline-terminated."""
+def write_csv(path: str | Path, columns: dict) -> None:
+    """A header of the column names, then one line per row: integer columns
+    as integers, every other value as %.17g, which round-trips float64.
+    Refused unless every column is 1-D and all have one length."""
+    cols = [np.asarray(c) for c in columns.values()]
+    if any(c.ndim != 1 for c in cols) or len({c.size for c in cols}) > 1:
+        raise ValueError(f"CSV columns must be 1-D and of one length, got shapes "
+                         f"{[c.shape for c in cols]}")
+    fmt = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in cols)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join([header, *lines]) + "\n")
+    rows = (fmt % row for row in zip(*(c.tolist() for c in cols)))
+    path.write_text("\n".join([",".join(columns), *rows]) + "\n")
+
+
+def export_predictions_csv(path: str | Path, X, predictions) -> None:
+    """Inputs x_0.., then y_0.. per draw of a matrix, or y_mean for a vector of means."""
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(predictions, dtype=float)
+    ys = {"y_mean": Y} if Y.ndim == 1 else {f"y_{m}": Y[:, m] for m in range(Y.shape[1])}
+    write_csv(path, {**{f"x_{j}": X[:, j] for j in range(X.shape[1])}, **ys})

@@ -21,11 +21,9 @@ from surrogate_forge import (
     train_new,
     uncertainty,
 )
-from surrogate_forge.active_learning import (
-    RoundRecord,
-    write_calibration_csv,
-    write_history_csv,
-)
+import surrogate_forge.cli as cli
+from surrogate_forge.active_learning import RoundRecord, write_history_csv
+from surrogate_forge.config import WORKDIR_ENV
 from surrogate_forge.seeds import substream
 from surrogate_forge.surrogate import eval_loss
 
@@ -262,9 +260,15 @@ class TestCsvOutputs:
         assert first[0] == "0" and first[1] == "40"
         assert float(first[2]) == 0.5 and float(first[3]) == 0.6
 
-    def test_calibration_csv_layout(self, tmp_path):
-        path = tmp_path / "cal.csv"
-        write_calibration_csv(np.array([0.1, 0.2]), np.array([0.3, 0.4]), path)
+    def test_calibration_csv_layout(self, tmp_path, monkeypatch):
+        # bench calibration writes calibration_data's two vectors as its columns
+        monkeypatch.delenv(WORKDIR_ENV, raising=False)
+        monkeypatch.setattr(cli, "_posterior", lambda cfg, auto: (None, "digest"))
+        monkeypatch.setattr(cli, "_net", lambda cfg, auto, posterior: None)
+        monkeypatch.setattr(cli, "calibration_data",
+                            lambda *args: (np.array([0.1, 0.2]), np.array([0.3, 0.4])))
+        assert cli.main(["bench", "calibration", "--out", str(tmp_path)]) == cli.EXIT_OK
+        path = tmp_path / "bench" / "calibration.csv"
         lines = path.read_text().splitlines()
         assert lines[0] == "sigma,mu_rmse"
         back = np.loadtxt(path, delimiter=",", skiprows=1)

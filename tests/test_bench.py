@@ -23,9 +23,9 @@ from surrogate_forge import (
     run_invariance_suite,
     run_speed_sweep,
     timing_regression,
-    write_effect_csv,
-    write_speed_csv,
 )
+import surrogate_forge.cli as cli
+from surrogate_forge.config import WORKDIR_ENV
 from surrogate_forge.model_core import TRUTH_ALPHA_RANGE, TRUTH_GAMMA_RANGE
 
 from draw_sets import make_draws
@@ -308,28 +308,34 @@ class TestSpeedSweepSmoke:
 
 
 class TestReportFiles:
-    def test_speed_csv_layout(self, tmp_path):
+    def test_speed_csv_layout(self, tmp_path, monkeypatch):
+        # bench speed writes one line per row of the sweep's report
         rows = [{"J": 2, "bm_time_s": 0.5, "nn_time_s": 0.25,
                  "test_mse": 1e-3, "final_dataset_size": 120},
                 {"J": 5, "bm_time_s": 1.0, "nn_time_s": 0.3,
                  "test_mse": 2e-3, "final_dataset_size": 140}]
-        path = tmp_path / "speed.csv"
-        write_speed_csv(BenchReport(rows), path)
-        lines = path.read_text().splitlines()
+        monkeypatch.delenv(WORKDIR_ENV, raising=False)
+        monkeypatch.setattr(cli.bench_mod, "run_speed_sweep", lambda *a, **kw: BenchReport(rows))
+        assert cli.main(["bench", "speed", "--out", str(tmp_path)]) == cli.EXIT_OK
+        lines = (tmp_path / "bench" / "speed_sweep.csv").read_text().splitlines()
         assert lines[0] == "J,bm_time_s,nn_time_s,test_mse,dataset_size"
-        assert lines[1].startswith("2,0.500000,0.250000,")
+        assert lines[1].startswith("2,0.5,0.25,")
         assert lines[1].endswith(",120")
         assert len(lines) == 3
 
-    def test_effect_csv_round_trips(self, tmp_path):
-        cur = EffectCurve(x=np.array([0.0, 0.5]), mean=np.array([0.1, 0.2]),
-                          std=np.array([0.01, 0.02]),
-                          lo95=np.array([0.0804, 0.1608]),
-                          hi95=np.array([0.1196, 0.2392]))
-        path = tmp_path / "curve.csv"
-        write_effect_csv(cur, path)
-        got = np.loadtxt(path, delimiter=",", skiprows=1)
-        np.testing.assert_array_equal(got[:, 0], cur.x)
-        np.testing.assert_array_equal(got[:, 1], cur.mean)
-        np.testing.assert_array_equal(got[:, 2], cur.lo95)
-        np.testing.assert_array_equal(got[:, 3], cur.hi95)
+    def test_effect_csv_round_trips(self, tmp_path, spec2_identity):
+        # each invariance file holds its curve's x_j, mean and 95% band
+        draws = make_draws(spec2_identity, 4, seed=2)
+        inv = InvarianceConfig(j=0, tau_values=(1.0,), c_values=(0.0,), n_mc=8,
+                               grid_points=5, train_size=64, val_size=16,
+                               intra_patience=2, max_epochs=2, seed=9)
+        res = run_invariance_suite(spec2_identity, draws, inv, _tiny_net_cfg(2),
+                                   out_dir=tmp_path)
+        assert len(res.files) == len(res.curves)
+        for path, cur in zip(res.files, res.curves.values()):
+            assert open(path).readline() == "x_j,mean,lo95,hi95\n"
+            got = np.loadtxt(path, delimiter=",", skiprows=1)
+            np.testing.assert_array_equal(got[:, 0], cur.x)
+            np.testing.assert_array_equal(got[:, 1], cur.mean)
+            np.testing.assert_array_equal(got[:, 2], cur.lo95)
+            np.testing.assert_array_equal(got[:, 3], cur.hi95)

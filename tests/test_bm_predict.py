@@ -10,9 +10,8 @@ from surrogate_forge import (
     predict_draws,
     predict_risk_min,
 )
-from surrogate_forge.bm_predict import export_predictions_csv
 
-from draw_sets import make_draws, tile_draws
+from draw_sets import tile_draws
 
 
 class TestPredictDraws:
@@ -107,27 +106,3 @@ class TestPredictBatchTimed:
     def test_unknown_mode_rejected(self, spec3, draws3):
         with pytest.raises(ValueError):
             predict_batch_timed(spec3, draws3, np.zeros((2, 3)), mode="median")
-
-
-class TestExportCsv:
-    def test_draw_matrix_round_trip(self, tmp_path, spec3):
-        draws = make_draws(spec3, M=4, seed=9)
-        X = np.random.default_rng(8).random((6, 3))
-        preds = predict_batch(spec3, draws, X)
-        path = tmp_path / "p.csv"
-        export_predictions_csv(path, X, preds)
-        header = path.read_text().splitlines()[0]
-        assert header == "x_0,x_1,x_2,y_0,y_1,y_2,y_3"
-        back = np.loadtxt(path, delimiter=",", skiprows=1)
-        np.testing.assert_array_equal(back[:, :3], X)
-        np.testing.assert_array_equal(back[:, 3:], preds)
-
-    def test_mean_vector_header(self, tmp_path, spec3):
-        draws = make_draws(spec3, M=4, seed=9)
-        X = np.random.default_rng(8).random((5, 3))
-        means = predict_batch(spec3, draws, X).mean(axis=1)
-        path = tmp_path / "p.csv"
-        export_predictions_csv(path, X, means)
-        assert path.read_text().splitlines()[0] == "x_0,x_1,x_2,y_mean"
-        back = np.loadtxt(path, delimiter=",", skiprows=1)
-        np.testing.assert_array_equal(back[:, 3], means)

@@ -488,7 +488,7 @@ class TestBench:
         capsys.readouterr()
         assert run(["bench", "calibration", "--config", tiny_cfg]) == EXIT_MISSING
         err = capsys.readouterr().err
-        assert err == f"artifact error: {_digest_mismatch(tmp_path / 'arts')}\n"
+        assert err == f"artifact error: {_digest_mismatch(tmp_path / 'arts')}; re-run train\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -510,6 +510,19 @@ def test_every_consumer_refuses_the_artifacts_of_a_refit_posterior(tiny_cfg, tmp
     assert err.startswith("artifact error: manifest ") and "has posterior_sha256 " in err
     assert err.count("\n") == 1
     assert not (tmp_path / "arts" / "predictions.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["predict", "--engine", "nn"], ["bench", "calibration"]],
+                         ids=["predict-nn", "bench-calibration"])
+def test_auto_training_reuses_the_loaded_posterior(tiny_cfg, monkeypatch, argv):
+    doc = json.loads(tiny_cfg.read_text())
+    doc["bench"] = {"calibration_pool": 30, "calibration_K": 4}
+    tiny_cfg.write_text(json.dumps(doc))
+    calls = []
+    real = cli.load_posterior
+    monkeypatch.setattr(cli, "load_posterior", lambda *args: calls.append(args) or real(*args))
+    assert run([*argv, "--config", tiny_cfg, "--auto"]) == EXIT_OK
+    assert len(calls) == 1
 
 
 class TestErrorExitCodes:

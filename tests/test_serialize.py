@@ -3,15 +3,19 @@ import json
 import numpy as np
 import pytest
 
+from surrogate_forge import predict_batch
 from surrogate_forge.serialize import (
     FORMAT_VERSION,
     ArtifactError,
+    export_predictions_csv,
     read_blob,
     read_manifest,
     write_blob,
     write_csv,
     write_manifest,
 )
+
+from draw_sets import make_draws
 
 
 def test_manifest_round_trip(tmp_path):
@@ -175,7 +179,55 @@ def test_blob_missing_file(tmp_path):
 
 def test_write_csv_layout(tmp_path):
     path = tmp_path / "new" / "dir" / "t.csv"
-    write_csv(path, "a,b", (f"{i},{i * i}" for i in range(3)))
+    write_csv(path, {"a": np.arange(3), "b": np.arange(3) ** 2})
     assert path.read_text() == "a,b\n0,0\n1,1\n2,4\n"
-    write_csv(path, "a,b", [])
+    write_csv(path, {"a": np.arange(0), "b": np.zeros(0)})
     assert path.read_text() == "a,b\n"
+
+
+@pytest.mark.parametrize("columns", [
+    {"a": np.zeros(3), "b": np.zeros(2)},
+    {"a": np.zeros((3, 1))},
+], ids=["unequal_lengths", "two_dimensional"])
+def test_write_csv_refuses_misshapen_columns(tmp_path, columns):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "t.csv", columns)
+    assert not (tmp_path / "t.csv").exists()
+
+
+def test_write_csv_prints_int_columns_as_integers(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, {"n": np.array([0, 2**60, -7]), "x": np.array([1.0, 2.5, -3.0])})
+    assert path.read_text() == f"n,x\n0,1\n{2**60},2.5\n-7,-3\n"
+
+
+def test_write_csv_floats_round_trip_bitwise(tmp_path):
+    x = np.array([1e-320, -0.0, 0.1, 1e300])
+    path = tmp_path / "t.csv"
+    write_csv(path, {"x": x})
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert back.tobytes() == x.tobytes()
+
+
+class TestExportCsv:
+    def test_draw_matrix_round_trip(self, tmp_path, spec3):
+        draws = make_draws(spec3, M=4, seed=9)
+        X = np.random.default_rng(8).random((6, 3))
+        preds = predict_batch(spec3, draws, X)
+        path = tmp_path / "p.csv"
+        export_predictions_csv(path, X, preds)
+        header = path.read_text().splitlines()[0]
+        assert header == "x_0,x_1,x_2,y_0,y_1,y_2,y_3"
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(back[:, :3], X)
+        np.testing.assert_array_equal(back[:, 3:], preds)
+
+    def test_mean_vector_header(self, tmp_path, spec3):
+        draws = make_draws(spec3, M=4, seed=9)
+        X = np.random.default_rng(8).random((5, 3))
+        means = predict_batch(spec3, draws, X).mean(axis=1)
+        path = tmp_path / "p.csv"
+        export_predictions_csv(path, X, means)
+        assert path.read_text().splitlines()[0] == "x_0,x_1,x_2,y_mean"
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(back[:, 3], means)
