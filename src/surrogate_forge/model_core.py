@@ -26,20 +26,33 @@ TRUTH_BETA_RANGE = (0.1, 1.0)
 DEFAULT_TRUTH_SIGMA2 = 0.01
 
 
-def link_apply(kind: str, z: np.ndarray) -> np.ndarray:
-    """Elementwise link psi(z)."""
+def link_apply(kind: str, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise link psi(z). out, when given, receives psi(z) and is
+    returned; it may be z itself. The values are the same either way.
+
+    Every step writes into one array, and out goes to the ufuncs by
+    position: as a keyword it costs about 2 us per call on the (1000, 10)
+    arrays of an HMC gradient evaluation.
+    """
+    if kind == "identity":
+        if out is None:
+            return np.asarray(z, dtype=float)
+        if out is not z:
+            np.copyto(out, z)
+        return out
+    if out is None:
+        out = np.empty_like(z, dtype=float)
     if kind == "sigmoid":
         # for z < -709 exp(-z) overflows to inf and the quotient is the limit 0
         with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(-z))
+            np.exp(np.negative(z, out), out)
+            return np.divide(1.0, np.add(1.0, out, out), out)
     if kind == "sine":
-        return np.sin(z)
+        return np.sin(z, out)
     if kind == "sqrt":
-        return np.sqrt(np.abs(z))
+        return np.sqrt(np.abs(z, out), out)
     if kind == "log1p":
-        return np.log1p(np.abs(z))
-    if kind == "identity":
-        return np.asarray(z, dtype=float)
+        return np.log1p(np.abs(z, out), out)
     raise ValueError(f"unknown link kind: {kind!r}")
 
 

@@ -76,6 +76,17 @@ class TestLinks:
             from_value = link_deriv(kind, z, link_apply(kind, z))
             assert from_value.tobytes() == link_deriv(kind, z).tobytes(), kind
 
+    def test_in_place_result_is_bitwise_equal(self):
+        z = np.random.default_rng(4).normal(scale=5.0, size=(50, 6))
+        z[0, :4] = [-800.0, 800.0, 0.0, -0.0]
+        for kind in VALID_LINKS:
+            want = link_apply(kind, z).tobytes()
+            buf = z.copy()
+            assert link_apply(kind, buf, out=buf) is buf
+            assert buf.tobytes() == want, kind
+            other = np.empty_like(z)
+            assert link_apply(kind, z, out=other).tobytes() == want, kind
+
     def test_sigmoid_raises_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
