@@ -103,21 +103,23 @@ def min_final_dataset_size(cfg: ALConfig) -> int:
 
 
 def train_new(spec: ModelSpec, draws: PosteriorDraws, train_set: LabeledSet, net_cfg: NetConfig,
-              cfg, stream: str = "al-val", *, shuffle_rng=None, dropout_rng=None
-              ) -> tuple[SurrogateNet, TrainHistory, LabeledSet]:
+              cfg, stream: str = "al-val", *, shuffle_rng=None, dropout_rng=None,
+              threads: int = 1) -> tuple[SurrogateNet, TrainHistory, LabeledSet]:
     """Train a fresh net on train_set, stopping early on cfg.val_size clean uniform
-    rows of stream `stream` of cfg.seed, labelled by the reference predictor. cfg
-    (ALConfig or InvarianceConfig) also gives intra_patience and max_epochs."""
+    rows of stream `stream` of cfg.seed, labelled by the reference predictor on
+    `threads` threads. cfg (ALConfig or InvarianceConfig) also gives
+    intra_patience and max_epochs."""
     X_val = substream(cfg.seed, stream).random((cfg.val_size, spec.J))
-    val_set = generate_at(spec, draws, X_val)
+    val_set = generate_at(spec, draws, X_val, threads)
     net, hist = train(init_net(net_cfg), train_set, val_set, cfg.intra_patience,
                       cfg.max_epochs, shuffle_rng=shuffle_rng, dropout_rng=dropout_rng)
     return net, hist, val_set
 
 
 def al_train(spec: ModelSpec, draws: PosteriorDraws, cfg: ALConfig,
-             net_cfg: NetConfig) -> tuple[SurrogateNet, list[RoundRecord]]:
-    """Run the full loop; returns the overall-best net and per-round history.
+             net_cfg: NetConfig, threads: int = 1) -> tuple[SurrogateNet, list[RoundRecord]]:
+    """Run the full loop, labelling on `threads` threads; returns the
+    overall-best net and per-round history.
 
     Round 0 trains on a fresh masked set of I_init rows. Every later round
     appends I_al acquired rows and retrains warm-start. The inter level
@@ -127,7 +129,8 @@ def al_train(spec: ModelSpec, draws: PosteriorDraws, cfg: ALConfig,
         raise ValueError("net_cfg dimensions must match spec.J and draw count")
 
     train_set = generate(spec, draws, DataGenConfig(I=cfg.I_init, tau=cfg.tau,
-                                                    input_dist=cfg.input_dist, seed=cfg.seed))
+                                                    input_dist=cfg.input_dist, seed=cfg.seed),
+                         threads)
 
     shuffle_rng = substream(net_cfg.seed, "nn-shuffle")
     dropout_rng = substream(net_cfg.seed, "nn-dropout")
@@ -138,7 +141,8 @@ def al_train(spec: ModelSpec, draws: PosteriorDraws, cfg: ALConfig,
     records: list[RoundRecord] = []
     t0 = time.perf_counter()
     net, hist, val_set = train_new(spec, draws, train_set, net_cfg, cfg,
-                                   shuffle_rng=shuffle_rng, dropout_rng=dropout_rng)
+                                   shuffle_rng=shuffle_rng, dropout_rng=dropout_rng,
+                                   threads=threads)
     records.append(RoundRecord(0, len(train_set), hist.train_loss[-1],
                                hist.best_val_loss, time.perf_counter() - t0))
 
@@ -149,7 +153,7 @@ def al_train(spec: ModelSpec, draws: PosteriorDraws, cfg: ALConfig,
         X_pool = pool_rng.random((cfg.pool_size, spec.J))
         sigma = uncertainty(net, X_pool, cfg.K, score_rng)
         idx = acquire(acquisition_probs(sigma), cfg.I_al, acq_rng)
-        acquired = generate_at(spec, draws, X_pool[idx])
+        acquired = generate_at(spec, draws, X_pool[idx], threads)
         train_set = LabeledSet(np.vstack([train_set.X, acquired.X]),
                                np.vstack([train_set.Y, acquired.Y]))
         net, hist = train(net, train_set, val_set, cfg.intra_patience, cfg.max_epochs,
@@ -164,11 +168,12 @@ def al_train(spec: ModelSpec, draws: PosteriorDraws, cfg: ALConfig,
 
 
 def calibration_data(net: SurrogateNet, spec: ModelSpec, draws: PosteriorDraws,
-                     X_pool, K: int, rng) -> tuple[np.ndarray, np.ndarray]:
+                     X_pool, K: int, rng, threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Per pool row: Eq.-style uncertainty sigma and mu_rmse, the mean over
-    all K x M dropout predictions of the absolute error against the label."""
+    all K x M dropout predictions of the absolute error against the label,
+    which the reference predictor computes on `threads` threads."""
     X_pool = np.asarray(X_pool, dtype=float)
-    labels = predict_batch(spec, draws, X_pool)
+    labels = predict_batch(spec, draws, X_pool, threads)
     n = X_pool.shape[0]
     sigma = np.empty(n)
     mu_rmse = np.empty(n)

@@ -57,10 +57,10 @@ def run_speed_sweep(J_list, M: int, N_test: int, net_cfg: NetConfig,
 
         ncfg = replace(net_cfg, input_dim=J, output_dim=M, seed=child)
         acfg = replace(al_cfg, seed=child)
-        net, records = al_train(spec, draws, acfg, ncfg)
+        net, records = al_train(spec, draws, acfg, ncfg, threads)
 
         X_test = substream(child, "bench").random((N_test, J))
-        labels = predict_batch(spec, draws, X_test)
+        labels = predict_batch(spec, draws, X_test, threads)
         test_mse = float(np.mean((predict(net, X_test) - labels) ** 2))
         built.append((spec, draws, net, X_test, test_mse, records[-1]))
 
@@ -247,9 +247,10 @@ class InvarianceResult:
 
 def run_invariance_suite(spec: ModelSpec, draws: PosteriorDraws,
                          inv_cfg: InvarianceConfig, net_cfg: NetConfig, *,
-                         out_dir=None) -> InvarianceResult:
+                         out_dir=None, threads: int = 1) -> InvarianceResult:
     """Train one surrogate per tau from net_cfg on train_size-row sets, then
-    compare every net's effect curves against the reference predictor's.
+    compare every net's effect curves against the reference predictor's,
+    which labels and predicts on `threads` threads.
 
     curves keys: (name, mode, c) with name 'bm' or 'tau<value>'; c is None
     for marginalized mode. summary keys: (tau, mode, c) -> max abs gap
@@ -268,14 +269,15 @@ def run_invariance_suite(spec: ModelSpec, draws: PosteriorDraws,
                                         rng=substream(inv_cfg.seed, "inv-mc"))
                 for mode, c in settings}
 
-    ref = curves_of(partial(predict_batch, spec, draws))
+    ref = curves_of(partial(predict_batch, spec, draws, threads=threads))
     curves = {("bm", *key): cur for key, cur in ref.items()}
     summary = {}
     for tau in inv_cfg.tau_values:
         dcfg = DataGenConfig(I=inv_cfg.train_size, tau=tau, input_dist="uniform01",
                              seed=derive_seed(inv_cfg.seed, f"inv-data-{tau}"))
-        dset = generate(spec, draws, dcfg)
-        net, _, _ = train_new(spec, draws, dset, net_cfg, inv_cfg, "inv-val")
+        dset = generate(spec, draws, dcfg, threads)
+        net, _, _ = train_new(spec, draws, dset, net_cfg, inv_cfg, "inv-val",
+                              threads=threads)
         for key, cur in curves_of(partial(predict, net)).items():
             curves[(f"tau{tau:g}", *key)] = cur
             summary[(tau, *key)] = float(np.max(np.abs(cur.mean - ref[key].mean)))

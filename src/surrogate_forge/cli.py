@@ -92,7 +92,7 @@ def _labeled_set(cfg: RunConfig, draws, digest: str, relabel: bool = False) -> L
                                                "posterior_sha256": digest})
         except ArtifactError as err:
             raise ArtifactError(f"{err}; re-run gen-data") from err
-    ls = generate(cfg.spec, draws, cfg.datagen)
+    ls = generate(cfg.spec, draws, cfg.datagen, cfg.threads)
     save_labeled_set(ls, data_dir, cfg.datagen, digest)
     print(f"labeled set: {len(ls)} rows -> {data_dir}")
     return ls
@@ -127,7 +127,7 @@ def _train(cfg: RunConfig, use_al: bool, auto: bool, posterior: tuple | None = N
     man, blob = _net_paths(cfg)
     hist_path = man.parent / "history.csv"
     if use_al:
-        net, records = al_train(spec, draws, cfg.al, net_cfg)
+        net, records = al_train(spec, draws, cfg.al, net_cfg, cfg.threads)
         save_net(net, man, blob, digest)
         write_history_csv(records, hist_path)
         print(f"al training: {records[-1].round} rounds, "
@@ -135,7 +135,8 @@ def _train(cfg: RunConfig, use_al: bool, auto: bool, posterior: tuple | None = N
               f"best val loss = {min(r.val_loss for r in records):.6g}")
     else:
         train_set = _labeled_set(cfg, draws, digest)
-        net, hist, _ = train_new(spec, draws, train_set, net_cfg, cfg.al)
+        net, hist, _ = train_new(spec, draws, train_set, net_cfg, cfg.al,
+                                 threads=cfg.threads)
         save_net(net, man, blob, digest)
         write_csv(hist_path, {"epoch": np.arange(1, len(hist.train_loss) + 1),
                               "train_loss": hist.train_loss, "val_loss": hist.val_loss})
@@ -224,7 +225,8 @@ def _bench_calibration(cfg: RunConfig, auto: bool) -> None:
     pool_rng = substream(cfg.seed, "calibration-pool")
     X_pool = pool_rng.random((b.calibration_pool, cfg.spec.J))
     sigma, mu_rmse = calibration_data(net, cfg.spec, posterior[0], X_pool,
-                                      b.calibration_K, substream(cfg.seed, "al-score"))
+                                      b.calibration_K, substream(cfg.seed, "al-score"),
+                                      cfg.threads)
     write_csv(cfg.artifacts / "bench" / "calibration.csv", {"sigma": sigma, "mu_rmse": mu_rmse})
     rho = float(spearmanr(sigma, mu_rmse).statistic)
     path = _merge_report(cfg, "calibration", {
@@ -239,7 +241,8 @@ def _bench_invariance(cfg: RunConfig, auto: bool) -> None:
     draws, _ = _posterior(cfg, auto)
     net_cfg = dataclasses.replace(cfg.net, output_dim=len(draws))
     result = bench_mod.run_invariance_suite(cfg.spec, draws, cfg.invariance, net_cfg,
-                                            out_dir=cfg.artifacts / "bench")
+                                            out_dir=cfg.artifacts / "bench",
+                                            threads=cfg.threads)
     summary = {f"tau{t:g}|{mode}" + (f"|c{c:g}" if c is not None else ""): v
                for (t, mode, c), v in result.summary.items()}
     path = _merge_report(cfg, "invariance", {"max_abs_deviation": summary,

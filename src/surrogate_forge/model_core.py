@@ -56,6 +56,25 @@ def link_apply(kind: str, z: np.ndarray, out: np.ndarray | None = None) -> np.nd
     raise ValueError(f"unknown link kind: {kind!r}")
 
 
+def sum_terms(terms: np.ndarray) -> np.ndarray:
+    """The sum of a (J, ...) array over axis 0, by halving in place: with
+    h = n // 2 the last h slabs are added onto the first h, until one slab
+    is left, which is returned (a view of terms[0]).
+
+    Every J-sum of the model goes through here. Only elementwise adds run,
+    so the bits depend on J alone, not on the shape, the layout or a numpy
+    reduction order; the rounding error grows with log J, not J. Pass a
+    C-order array: numpy copies an operand when it cannot prove that the
+    two slices do not overlap.
+    """
+    n = terms.shape[0]
+    while n > 1:
+        h = n // 2
+        terms[:h] += terms[n - h:n]
+        n -= h
+    return terms[0]
+
+
 def link_deriv(kind: str, z: np.ndarray, psi: np.ndarray | None = None) -> np.ndarray:
     """Elementwise derivative psi'(z). Subgradient 0 is used at the |.| kink.
 
@@ -133,15 +152,18 @@ def _check_draw(spec: ModelSpec, draw: ParamDraw) -> None:
 def eval_mean_batch(spec: ModelSpec, draw: ParamDraw, X: np.ndarray) -> np.ndarray:
     """E[Y | x, draw] for each row of X; shape (N,).
 
-    The J-axis reduction uses np.sum on the contiguous last axis, so single-row
-    and batched evaluation agree bitwise.
+    The terms are built as a C-order (J, N) array and added by sum_terms, so
+    a row's value does not depend on the batch it is in, and equals that
+    draw's value from bm_predict bit for bit.
     """
     _check_draw(spec, draw)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != spec.J:
         raise ValueError(f"X must be (N, {spec.J}), got {X.shape}")
-    terms = link_apply(spec.link, X * draw.alpha) * draw.beta
-    return draw.gamma + np.sum(terms, axis=1)
+    terms = np.multiply(X.T, draw.alpha[:, None], order="C")
+    link_apply(spec.link, terms, out=terms)
+    terms *= draw.beta[:, None]
+    return draw.gamma + sum_terms(terms)
 
 
 def eval_mean(spec: ModelSpec, draw: ParamDraw, x: np.ndarray) -> float:

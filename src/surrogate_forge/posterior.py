@@ -69,11 +69,16 @@ class PosteriorDraws:
             raise ValueError("gamma/sigma2 length mismatch")
         if np.any(sigma2 < 0):
             raise ValueError("sigma2 draws must be nonnegative")
-        for arr in (alpha, beta, gamma, sigma2):
+        # J-major copies, so bm_predict multiplies by contiguous rows
+        alpha_t = np.ascontiguousarray(alpha.T)
+        beta_t = np.ascontiguousarray(beta.T)
+        for arr in (alpha, beta, gamma, sigma2, alpha_t, beta_t):
             arr.setflags(write=False)
         self.spec = spec
         self.alpha = alpha
         self.beta = beta
+        self.alpha_t = alpha_t
+        self.beta_t = beta_t
         self.gamma = gamma
         self.sigma2 = sigma2
         self.diagnostics = dict(diagnostics) if diagnostics else {}

@@ -60,26 +60,29 @@ def _draw_inputs(rng, dist: str, shape) -> np.ndarray:
     return rng.standard_normal(shape)
 
 
-def generate(spec: ModelSpec, draws: PosteriorDraws, cfg: DataGenConfig) -> LabeledSet:
-    """New inputs with dropout masking, labeled by the reference predictor.
+def generate(spec: ModelSpec, draws: PosteriorDraws, cfg: DataGenConfig,
+             threads: int = 1) -> LabeledSet:
+    """New inputs with dropout masking, labeled by the reference predictor
+    on `threads` threads.
 
     Stream order is fixed: all masks first, then all inputs, so the same
-    seed always yields the same set.
+    seed always yields the same set, whatever the thread count.
     """
     rng = substream(cfg.seed, "data-gen")
     mask = rng.random((cfg.I, spec.J)) < cfg.tau
     X = _draw_inputs(rng, cfg.input_dist, (cfg.I, spec.J))
-    return generate_at(spec, draws, np.where(mask, X, 0.0))
+    return generate_at(spec, draws, np.where(mask, X, 0.0), threads)
 
 
-def generate_at(spec: ModelSpec, draws: PosteriorDraws, X_fixed) -> LabeledSet:
+def generate_at(spec: ModelSpec, draws: PosteriorDraws, X_fixed,
+                threads: int = 1) -> LabeledSet:
     """Label caller-provided inputs as-is: no masking, no resampling."""
     X_fixed = np.asarray(X_fixed, dtype=float)
     if X_fixed.ndim != 2 or X_fixed.shape[1] != spec.J:
         raise ValueError(f"X_fixed must be (N, {spec.J})")
     if not np.all(np.isfinite(X_fixed)):
         raise ValueError("X_fixed must be finite")
-    return LabeledSet(X_fixed.copy(), predict_batch(spec, draws, X_fixed))
+    return LabeledSet(X_fixed.copy(), predict_batch(spec, draws, X_fixed, threads))
 
 
 def save_labeled_set(ls: LabeledSet, directory, cfg: DataGenConfig,

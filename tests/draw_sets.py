@@ -1,4 +1,5 @@
-"""Hand-buildable posterior draw sets shared by the test modules.
+"""Hand-buildable posterior draw sets, and the J-sum order in pure Python,
+shared by the test modules.
 
 Kept out of conftest.py so that test modules can import them by a name no
 other conftest on the path shadows.
@@ -30,3 +31,17 @@ def tile_draws(spec: ModelSpec, draw: ParamDraw, M: int) -> PosteriorDraws:
         np.full(M, draw.gamma),
         np.full(M, draw.sigma2),
     )
+
+
+def halving_sum(values) -> float:
+    """The sum model_core.sum_terms computes, one Python float at a time:
+    with h = n // 2 the last h values are added onto the first h, until one
+    is left."""
+    v = [float(a) for a in values]
+    n = len(v)
+    while n > 1:
+        h = n // 2
+        for k in range(h):
+            v[k] += v[n - h + k]
+        n -= h
+    return v[0]

@@ -222,7 +222,7 @@ def test_09_degenerate_draws_and_thread_invariance(criterion, spec3, draws3):
         for threads in (2, 3, 4):
             other = sf.predict_batch_timed(spec3, draws3, X, threads)
             np.testing.assert_array_equal(other.predictions, base.predictions)
-            assert other.threads_used == min(threads, len(draws3))
+            assert other.threads_used == min(threads, X.shape[0])
 
 
 def test_10_masking_teaches_weak_predictor_effects(criterion):

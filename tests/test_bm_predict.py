@@ -15,13 +15,14 @@ from surrogate_forge import (
 )
 
 from surrogate_forge.bm_predict import _BLOCK_VALUES
-from surrogate_forge.model_core import VALID_LINKS
+from surrogate_forge.model_core import VALID_LINKS, link_apply
 
-from draw_sets import make_draws, tile_draws
+from draw_sets import halving_sum, make_draws, tile_draws
 
-# numpy sums a row of n < 8 values in order, 8..128 values in eight stride-8
-# accumulators, and longer rows in halves; these J cover every branch
-PAIRWISE_JS = (1, 7, 8, 9, 15, 16, 17, 20, 129)
+# J around powers of two, where the halving tree changes shape, and M
+# down to one draw, where every term block has a single column
+SWEPT_JS = (1, 2, 3, 7, 8, 9, 15, 16, 17, 20, 129)
+SWEPT_MS = (1, 2, 257)
 
 
 def _gaussian_inputs(N, J, seed):
@@ -73,6 +74,27 @@ class TestPredictDraws:
         want = eval_mean(spec3, draw, x)
         assert abs(got - want) <= np.spacing(abs(want))
 
+    def test_single_draw_column_equals_eval_mean_bitwise(self):
+        # eval_mean sums a (J, 1) block, predict_draws a (J, 1, M) one; both
+        # must add the J terms in the same order, the pure-Python one
+        for link in VALID_LINKS:
+            for J in SWEPT_JS:
+                spec = ModelSpec(J=J, link=link)
+                src = make_draws(spec, 3, seed=J)
+                X = _gaussian_inputs(4, J, seed=J)
+                for m in range(3):
+                    draw = ParamDraw(alpha=src.alpha[m], beta=src.beta[m],
+                                     gamma=float(src.gamma[m]), sigma2=float(src.sigma2[m]))
+                    tiled = tile_draws(spec, draw, 5)
+                    for x in X:
+                        want = eval_mean(spec, draw, x)
+                        terms = link_apply(link, x * draw.alpha) * draw.beta
+                        assert want == draw.gamma + halving_sum(terms), f"{link} J={J}"
+                        np.testing.assert_array_equal(
+                            predict_draws(spec, tiled, x), np.full(5, want),
+                            err_msg=f"{link} J={J}")
+                        assert predict_draws(spec, src, x)[m] == want, f"{link} J={J}"
+
     def test_input_validation(self, spec3, draws3):
         with pytest.raises(ValueError):
             predict_draws(spec3, draws3, np.zeros(4))
@@ -80,26 +102,26 @@ class TestPredictDraws:
 
 class TestPredictBatch:
     def test_rows_match_single_draw_vector_bitwise(self, spec3, draws3):
-        # predict_draws reduces with np.sum, so this pins the batch kernel's
-        # accumulation order to numpy's pairwise one, across two row blocks
+        # a row's terms are summed the same way in a block of many rows as
+        # alone, across at least two row blocks
         X = np.random.default_rng(3).random((9, 3))
         out = predict_batch(spec3, draws3, X)
         assert out.shape == (9, len(draws3))
         for i in range(9):
             np.testing.assert_array_equal(out[i], predict_draws(spec3, draws3, X[i]))
-        M = 257
-        N = _BLOCK_VALUES // M + 3
         for link in VALID_LINKS:
-            for J in PAIRWISE_JS:
-                spec = ModelSpec(J=J, link=link)
-                draws = make_draws(spec, M, seed=J)
-                X = _gaussian_inputs(N, J, seed=J)
-                for threads in (1, 2, 3):
-                    out = predict_batch(spec, draws, X, threads)
-                    for i in range(0, N, 7):
-                        np.testing.assert_array_equal(
-                            out[i], predict_draws(spec, draws, X[i]),
-                            err_msg=f"{link} J={J} threads={threads} row {i}")
+            for J in SWEPT_JS:
+                for M in SWEPT_MS:
+                    spec = ModelSpec(J=J, link=link)
+                    draws = make_draws(spec, M, seed=J)
+                    N = _BLOCK_VALUES // (J * M) + 3
+                    X = _gaussian_inputs(N, J, seed=J)
+                    for threads in (1, 2, 3):
+                        out = predict_batch(spec, draws, X, threads)
+                        for i in [*range(0, N, max(1, N // 20)), N - 1]:
+                            np.testing.assert_array_equal(
+                                out[i], predict_draws(spec, draws, X[i]),
+                                err_msg=f"{link} J={J} M={M} threads={threads} row {i}")
 
     @pytest.mark.parametrize("threads", [2, 3, 5, 16])
     def test_thread_count_invariance_bitwise(self, spec3, draws3, threads):
@@ -107,13 +129,15 @@ class TestPredictBatch:
         base = predict_batch(spec3, draws3, X, threads=1)
         np.testing.assert_array_equal(predict_batch(spec3, draws3, X, threads=threads), base)
         for link in VALID_LINKS:
-            for J in PAIRWISE_JS:
-                spec = ModelSpec(J=J, link=link)
-                draws = make_draws(spec, 97, seed=J + 1)
-                X = _gaussian_inputs(50, J, seed=J + 1)
-                np.testing.assert_array_equal(
-                    predict_batch(spec, draws, X, threads=threads),
-                    predict_batch(spec, draws, X, threads=1), err_msg=f"{link} J={J}")
+            for J in SWEPT_JS:
+                for M in SWEPT_MS:
+                    spec = ModelSpec(J=J, link=link)
+                    draws = make_draws(spec, M, seed=J + 1)
+                    X = _gaussian_inputs(50, J, seed=J + 1)
+                    np.testing.assert_array_equal(
+                        predict_batch(spec, draws, X, threads=threads),
+                        predict_batch(spec, draws, X, threads=1),
+                        err_msg=f"{link} J={J} M={M}")
 
     def test_more_threads_than_draws(self, spec3, draws3):
         X = np.random.default_rng(5).random((4, 3))
@@ -131,8 +155,9 @@ class TestPredictBatch:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_peak_memory_is_the_output_plus_scratch(self, threads):
-        # no (N, M, J) temporary, and no block buffers left for the garbage
-        # collector: with it off, buffers held in cycles would pile up
+        # no (N, M, J) temporary, only one (J, rows, M) term block per thread,
+        # and none left for the garbage collector: with it off, blocks held
+        # in cycles would pile up
         spec = ModelSpec(J=20)
         draws = make_draws(spec, M=200, seed=5)
         X = _gaussian_inputs(5000, 20, seed=5)

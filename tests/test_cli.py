@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import surrogate_forge.cli as cli
+from surrogate_forge import active_learning, bench, bm_predict, synth_data
 from surrogate_forge.cli import (
     EXIT_CONFIG,
     EXIT_MISSING,
@@ -523,6 +524,30 @@ def test_auto_training_reuses_the_loaded_posterior(tiny_cfg, monkeypatch, argv):
     monkeypatch.setattr(cli, "load_posterior", lambda *args: calls.append(args) or real(*args))
     assert run([*argv, "--config", tiny_cfg, "--auto"]) == EXIT_OK
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-data"], ["train"], ["train", "--al"], ["bench", "calibration"],
+    ["bench", "invariance"],
+], ids=["gen-data", "train", "train-al", "bench-calibration", "bench-invariance"])
+def test_labelling_runs_on_the_configured_threads(tiny_cfg, monkeypatch, argv):
+    doc = json.loads(tiny_cfg.read_text())
+    doc["bench"] = {"calibration_pool": 30, "calibration_K": 4}
+    doc["invariance"] = {"j": 0, "tau_values": [1.0], "c_values": [0.0],
+                         "n_mc": 8, "grid_points": 5, "train_size": 48,
+                         "val_size": 16, "intra_patience": 2, "max_epochs": 2}
+    tiny_cfg.write_text(json.dumps(doc))
+    seen = []
+    real = bm_predict.predict_batch
+
+    def spy(spec, draws, X, threads=1):
+        seen.append(threads)
+        return real(spec, draws, X, threads)
+
+    for module in (synth_data, active_learning, bench):
+        monkeypatch.setattr(module, "predict_batch", spy)
+    assert run([*argv, "--config", tiny_cfg, "--auto", "--threads", 2]) == EXIT_OK
+    assert seen and set(seen) == {2}
 
 
 class TestErrorExitCodes:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -16,13 +17,17 @@ from surrogate_forge import (
     link_deriv,
     sample_ground_truth,
 )
+from surrogate_forge import model_core
 from surrogate_forge.model_core import (
     TRUTH_ALPHA_RANGE,
     TRUTH_BETA_RANGE,
     TRUTH_GAMMA_RANGE,
     VALID_LINKS,
+    sum_terms,
 )
 from surrogate_forge.posterior import _make_target
+
+from draw_sets import halving_sum
 
 
 def _reference_link(kind, z):
@@ -103,6 +108,37 @@ class TestLinks:
             link_deriv("cube", np.array(1.0))
 
 
+def _peak_bytes(fn, *args):
+    """fn(*args) run under tracemalloc: (its result, its peak allocation)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSumTerms:
+    @pytest.mark.parametrize("J", [1, 2, 3, 7, 8, 9, 129])
+    @pytest.mark.parametrize("layout", ["C", "F", "J1", "J11"])
+    def test_equals_python_halving_sum_bitwise(self, J, layout):
+        # magnitudes spread over 16 decades, so another order rounds differently
+        rng = np.random.default_rng(J)
+        base = rng.standard_normal((J, 6)) * 10.0 ** rng.uniform(-8, 8, (J, 6))
+        terms = {"C": base.copy(), "F": np.asfortranarray(base),
+                 "J1": base[:, :1].copy(), "J11": base[:, :1, None].copy()}[layout]
+        got = sum_terms(terms).reshape(-1)
+        want = [halving_sum(base[:, k]) for k in range(got.size)]
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", [(2, 1000), (3, 1000), (9, 1000), (129, 10, 100)])
+    def test_c_order_is_summed_without_a_copy(self, shape):
+        # one copied slab would be 8 kB; the views it slices take a few hundred bytes
+        terms = np.random.default_rng(0).standard_normal(shape)
+        _, peak = _peak_bytes(sum_terms, terms)
+        assert peak < 1024
+
+
 class TestModelSpec:
     def test_defaults(self):
         spec = ModelSpec(J=4)
@@ -154,6 +190,31 @@ class TestEvalMean:
         batch = eval_mean_batch(spec3, draw, X)
         singles = np.array([eval_mean(spec3, draw, x) for x in X])
         np.testing.assert_array_equal(batch, singles)
+
+    def test_terms_reach_sum_terms_in_c_order(self, monkeypatch):
+        # a transposed (N, J) view would make each halving add copy its
+        # operand (121 kB here); the only other temporaries allowed are the
+        # term array, the output and numpy's ufunc buffers (two of
+        # np.getbufsize() values at most)
+        spec = ModelSpec(J=10)
+        rng = np.random.default_rng(2)
+        draw = ParamDraw(alpha=rng.uniform(0.3, 3, 10), beta=rng.uniform(0.1, 1, 10),
+                         gamma=0.3, sigma2=0.01)
+        X = rng.standard_normal((1000, 10))
+        sum_peaks = []
+
+        def traced(terms):
+            assert terms.flags.c_contiguous
+            result, peak = _peak_bytes(sum_terms, terms)
+            sum_peaks.append(peak)
+            return result
+
+        eval_mean_batch(spec, draw, X)
+        _, peak = _peak_bytes(eval_mean_batch, spec, draw, X)
+        monkeypatch.setattr(model_core, "sum_terms", traced)
+        eval_mean_batch(spec, draw, X)
+        assert len(sum_peaks) == 1 and sum_peaks[0] < 1024
+        assert peak <= (10 + 1) * 1000 * 8 + 2 * np.getbufsize() * 8 + 4096
 
     @given(st.integers(0, 2**32 - 1))
     def test_row_permutation_permutes_outputs(self, seed):

@@ -7,6 +7,7 @@ import pytest
 from surrogate_forge import (
     DataGenConfig,
     LabeledSet,
+    ModelSpec,
     generate,
     generate_at,
     load_labeled_set,
@@ -14,6 +15,8 @@ from surrogate_forge import (
     save_labeled_set,
 )
 from surrogate_forge.serialize import FORMAT_VERSION, ArtifactError
+
+from draw_sets import make_draws
 
 
 class TestDataGenConfig:
@@ -77,6 +80,18 @@ class TestGenerate:
         assert doc["tau"] == 0.6 and doc["seed"] == 10
         assert doc["input_dist"] == "uniform01"
         assert doc["posterior_sha256"] == "0" * 64
+
+    def test_thread_count_moves_no_byte(self, tmp_path):
+        spec = ModelSpec(J=20, link="sine")
+        draws = make_draws(spec, 50, seed=8)
+        cfg = DataGenConfig(I=500, tau=0.7, seed=4)
+        stored = []
+        for threads in (1, 2):
+            save_labeled_set(generate(spec, draws, cfg, threads), tmp_path / str(threads),
+                             cfg, "0" * 64)
+            stored.append([(tmp_path / str(threads) / name).read_bytes()
+                           for name in ("manifest.json", "data.f64")])
+        assert stored[0] == stored[1]
 
     @pytest.mark.parametrize("input_dist", ["uniform01", "standard_gaussian"])
     def test_labels_its_masked_inputs_through_generate_at(self, spec3, draws3, input_dist):
