@@ -14,7 +14,8 @@ import numpy as np
 
 from .active_learning import ALConfig, al_train, train_new
 from .bm_predict import predict_batch, predict_batch_timed
-from .model_core import ModelSpec, ParamDraw, sample_ground_truth, generate_observed
+from .model_core import (DEFAULT_TRUTH_SIGMA2, ModelSpec, ParamDraw, generate_observed,
+                         sample_ground_truth)
 from .posterior import PosteriorDraws, SamplerConfig, sample_posterior
 from .seeds import derive_seed, substream
 from .surrogate import NetConfig, predict
@@ -42,15 +43,17 @@ class BenchReport:
 
 def run_speed_sweep(J_list, M: int, N_test: int, net_cfg: NetConfig,
                     al_cfg: ALConfig, *, seed: int = 0, threads: int = 1,
-                    reps: int = 5, n_observed: int = 1000,
-                    sampler: SamplerConfig, link: str = "sigmoid") -> BenchReport:
-    """Fresh ground truth, posterior, and surrogate per J; then timed
-    reference predictions vs timed surrogate forward passes on one test set."""
+                    reps: int = 5, n_observed: int = 1000, sampler: SamplerConfig,
+                    model: ModelSpec = ModelSpec(J=1),
+                    truth_sigma2: float = DEFAULT_TRUTH_SIGMA2) -> BenchReport:
+    """Fresh ground truth, posterior, and surrogate per J, under model's link and
+    priors at that J; then timed reference predictions vs timed surrogate
+    forward passes on one test set."""
     built = []
     for J in sorted(J_list):
         child = derive_seed(seed, f"sweep-j{J}")
-        spec = ModelSpec(J=J, link=link)
-        truth = sample_ground_truth(spec, substream(child, "bm-truth"))
+        spec = replace(model, J=J)
+        truth = sample_ground_truth(spec, substream(child, "bm-truth"), truth_sigma2)
         X_obs, y_obs = generate_observed(spec, truth, n_observed, substream(child, "bm-data"))
         scfg = replace(sampler, samples=M, seed=child)
         draws = sample_posterior(spec, X_obs, y_obs, scfg)
@@ -217,25 +220,22 @@ class BenchConfig:
     J_list: tuple = (2, 5, 10, 20)
     M: int = 200
     N_test: int = 5000
-    n_observed: int = 1000
     reps: int = 5
     warmup: int = 500
     calibration_pool: int = 2000
-    calibration_K: int = 50
 
     def __post_init__(self):
         # type(J) is int also refuses a bool, which isinstance would let through
         if len(self.J_list) == 0 or any(type(J) is not int or J < 1 for J in self.J_list):
             raise ValueError(f"J_list must be a nonempty list of integers >= 1, "
                              f"got {list(self.J_list)!r}")
-        for name in ("M", "N_test", "n_observed", "reps"):
+        for name in ("M", "N_test", "reps"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.warmup < 0:
             raise ValueError("warmup must be >= 0")
-        # a rank correlation needs 2 rows, a dropout σ 2 passes
-        if min(self.calibration_pool, self.calibration_K) < 2:
-            raise ValueError("calibration_pool and calibration_K must be >= 2")
+        if self.calibration_pool < 2:  # a rank correlation needs 2 rows
+            raise ValueError("calibration_pool must be >= 2")
 
 
 @dataclass

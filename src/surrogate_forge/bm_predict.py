@@ -61,7 +61,7 @@ def predict_risk_min(spec: ModelSpec, draws: PosteriorDraws, x) -> float:
     the single-draw expectation to within one ulp regardless of M.
     """
     per_draw = predict_draws(spec, draws, x)
-    return math.fsum(per_draw) / per_draw.size
+    return math.fsum(per_draw.tolist()) / per_draw.size
 
 
 def _fill_blocks(link, draws, X, out, blocks):

@@ -200,8 +200,8 @@ def _bench_speed(cfg: RunConfig) -> None:
     sampler = dataclasses.replace(cfg.sampler, warmup=b.warmup)
     report = bench_mod.run_speed_sweep(
         b.J_list, b.M, b.N_test, cfg.net, cfg.al, seed=cfg.seed,
-        threads=cfg.threads, reps=b.reps, n_observed=b.n_observed,
-        sampler=sampler, link=cfg.spec.link)
+        threads=cfg.threads, reps=b.reps, n_observed=cfg.n_observed,
+        sampler=sampler, model=cfg.spec, truth_sigma2=cfg.truth_sigma2)
     write_csv(cfg.artifacts / "bench" / "speed_sweep.csv",
               {name: [r[key] for r in report.rows] for name, key in (
                   ("J", "J"), ("bm_time_s", "bm_time_s"), ("nn_time_s", "nn_time_s"),
@@ -225,13 +225,12 @@ def _bench_calibration(cfg: RunConfig, auto: bool) -> None:
     pool_rng = substream(cfg.seed, "calibration-pool")
     X_pool = pool_rng.random((b.calibration_pool, cfg.spec.J))
     sigma, mu_rmse = calibration_data(net, cfg.spec, posterior[0], X_pool,
-                                      b.calibration_K, substream(cfg.seed, "al-score"),
+                                      cfg.al.K, substream(cfg.seed, "al-score"),
                                       cfg.threads)
     write_csv(cfg.artifacts / "bench" / "calibration.csv", {"sigma": sigma, "mu_rmse": mu_rmse})
     rho = float(spearmanr(sigma, mu_rmse).statistic)
     path = _merge_report(cfg, "calibration", {
-        "pool_size": int(X_pool.shape[0]), "K": b.calibration_K,
-        "spearman": rho})
+        "pool_size": int(X_pool.shape[0]), "K": cfg.al.K, "spearman": rho})
     print(f"calibration: spearman(sigma, mu_rmse) = {rho:.4f} "
           f"over {X_pool.shape[0]} pool rows")
     print(f"report -> {path}")

@@ -36,9 +36,10 @@ class PathsConfig:
 _SECTIONS = {"model": ModelSpec, "sampler": SamplerConfig, "datagen": DataGenConfig,
              "net": NetConfig, "al": ALConfig, "invariance": InvarianceConfig,
              "bench": BenchConfig, "paths": PathsConfig}
-# config keys of each section: its dataclass's fields, less those derived from the
-# root seed and the model, plus the model section's two ground-truth settings
+# config keys of each section: its dataclass's fields, less those derived from the root
+# seed, the model or datagen (al's tau and input_dist), plus model's ground-truth settings
 _SECTION_KEYS = {name: {f.name for f in fields(cls)} - {"seed", "input_dim", "output_dim"}
+                 - ({"tau", "input_dist"} if cls is ALConfig else set())
                  | ({"n_observed", "truth_sigma2"} if cls is ModelSpec else set())
                  for name, cls in _SECTIONS.items()}
 _TOP_KEYS = set(_SECTIONS) | {"seed", "threads"}
@@ -94,8 +95,8 @@ def _section(doc: dict, name: str) -> dict:
 
 
 def _build(name: str, kwargs: dict, **derived):
-    """The section's dataclass from its keys plus the fields derived from the
-    root seed and the model; a range error it raises names the section."""
+    """The section's dataclass from its keys plus the fields derived from the root
+    seed and the sections it follows; a range error it raises names the section."""
     try:
         return _SECTIONS[name](**kwargs, **derived)
     except (ValueError, TypeError) as e:
@@ -156,7 +157,8 @@ def load_config(path=None, *, seed=None, threads=None, out=None) -> RunConfig:
     datagen = _build("datagen", {"I": 10000, **_section(doc, "datagen")}, seed=root_seed)
     net = _build("net", _section(doc, "net"), input_dim=spec.J,
                  output_dim=sampler.samples, seed=root_seed)
-    al = _build("al", _section(doc, "al"), seed=root_seed)
+    al = _build("al", _section(doc, "al"), seed=root_seed, tau=datagen.tau,
+                input_dist=datagen.input_dist)
     invariance = _build("invariance", _section(doc, "invariance"), seed=root_seed)
     if invariance.j >= spec.J:
         raise ConfigError(f"invariance: j must be < model.J ({spec.J}), got {invariance.j}")

@@ -209,8 +209,8 @@ class TestBenchConfig:
     def test_defaults(self):
         cfg = BenchConfig()
         assert cfg.J_list == (2, 5, 10, 20)
-        assert (cfg.M, cfg.N_test, cfg.n_observed, cfg.reps) == (200, 5000, 1000, 5)
-        assert (cfg.warmup, cfg.calibration_pool, cfg.calibration_K) == (500, 2000, 50)
+        assert (cfg.M, cfg.N_test, cfg.reps) == (200, 5000, 5)
+        assert (cfg.warmup, cfg.calibration_pool) == (500, 2000)
 
     def test_warmup_may_be_zero(self):
         assert BenchConfig(warmup=0).warmup == 0
@@ -222,11 +222,9 @@ class TestBenchConfig:
         {"J_list": (True,)},
         {"M": 0},
         {"N_test": 0},
-        {"n_observed": 0},
         {"reps": 0},
         {"warmup": -1},
         {"calibration_pool": 1},
-        {"calibration_K": 1},
     ])
     def test_validation(self, kw):
         with pytest.raises(ValueError):

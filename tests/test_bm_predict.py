@@ -43,14 +43,19 @@ class TestPredictDraws:
         want = np.array([eval_mean(spec3, d, x) for d in per_draw])
         np.testing.assert_array_equal(got, want)
 
-    def test_risk_min_is_exactly_rounded_mean_of_draws(self, spec3, draws3):
-        import math
+    def test_risk_min_is_exactly_rounded_mean_of_draws(self, spec3):
+        from fractions import Fraction
 
-        x = np.random.default_rng(1).random(3)
-        per_draw = predict_draws(spec3, draws3, x)
-        got = predict_risk_min(spec3, draws3, x)
-        assert got == math.fsum(per_draw) / per_draw.size
-        assert got == pytest.approx(float(np.mean(per_draw)), rel=1e-14)
+        # at M = 257, np.sum and a left-to-right sum miss the exact sum on some rows
+        X = np.random.default_rng(1).random((20, 3))
+        for M in SWEPT_MS:
+            draws = make_draws(spec3, M, seed=M)
+            for x in X:
+                per_draw = predict_draws(spec3, draws, x)
+                got = predict_risk_min(spec3, draws, x)
+                # the exactly rounded sum of the M values, then one division by M
+                assert got == float(sum(map(Fraction, per_draw.tolist()))) / M, f"M={M}"
+                assert got == pytest.approx(float(np.mean(per_draw)), rel=1e-14), f"M={M}"
 
     def test_degenerate_dyadic_case_is_exact(self):
         # identity link with dyadic parameters: every per-draw value and

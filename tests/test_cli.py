@@ -18,6 +18,7 @@ from surrogate_forge.cli import (
     main,
 )
 from surrogate_forge.config import WORKDIR_ENV
+from surrogate_forge.model_core import ModelSpec
 from surrogate_forge.posterior import SamplerInitError
 from surrogate_forge.serialize import read_manifest
 from surrogate_forge.surrogate import TrainingDiverged
@@ -437,8 +438,7 @@ def _digest_mismatch(arts):
 class TestBench:
     def test_speed_needs_no_upstream_artifacts(self, tiny_cfg, tmp_path):
         doc = json.loads(tiny_cfg.read_text())
-        doc["bench"] = {"J_list": [2, 3], "M": 8, "N_test": 20, "n_observed": 40,
-                        "reps": 1, "warmup": 20}
+        doc["bench"] = {"J_list": [2, 3], "M": 8, "N_test": 20, "reps": 1, "warmup": 20}
         tiny_cfg.write_text(json.dumps(doc))
         assert run(["bench", "speed", "--config", tiny_cfg]) == EXIT_OK
         lines = (tmp_path / "arts" / "bench" / "speed_sweep.csv").read_text().splitlines()
@@ -446,7 +446,7 @@ class TestBench:
 
     def test_calibration_then_invariance_merge_report(self, tiny_cfg, tmp_path, capsys):
         doc = json.loads(tiny_cfg.read_text())
-        doc["bench"] = {"calibration_pool": 30, "calibration_K": 4}
+        doc["bench"] = {"calibration_pool": 30}
         doc["invariance"] = {"j": 0, "tau_values": [1.0], "c_values": [0.0],
                              "n_mc": 8, "grid_points": 5, "train_size": 48,
                              "val_size": 16, "intra_patience": 2, "max_epochs": 2}
@@ -463,7 +463,7 @@ class TestBench:
 
     def test_calibration_pool_is_not_the_al_candidate_pool(self, tiny_cfg, monkeypatch):
         doc = json.loads(tiny_cfg.read_text())
-        doc["bench"] = {"calibration_pool": 30, "calibration_K": 4}
+        doc["bench"] = {"calibration_pool": 30}
         tiny_cfg.write_text(json.dumps(doc))
         assert run(["train", "--al", "--config", tiny_cfg, "--auto"]) == EXIT_OK
         names = []
@@ -517,7 +517,7 @@ def test_every_consumer_refuses_the_artifacts_of_a_refit_posterior(tiny_cfg, tmp
                          ids=["predict-nn", "bench-calibration"])
 def test_auto_training_reuses_the_loaded_posterior(tiny_cfg, monkeypatch, argv):
     doc = json.loads(tiny_cfg.read_text())
-    doc["bench"] = {"calibration_pool": 30, "calibration_K": 4}
+    doc["bench"] = {"calibration_pool": 30}
     tiny_cfg.write_text(json.dumps(doc))
     calls = []
     real = cli.load_posterior
@@ -532,7 +532,7 @@ def test_auto_training_reuses_the_loaded_posterior(tiny_cfg, monkeypatch, argv):
 ], ids=["gen-data", "train", "train-al", "bench-calibration", "bench-invariance"])
 def test_labelling_runs_on_the_configured_threads(tiny_cfg, monkeypatch, argv):
     doc = json.loads(tiny_cfg.read_text())
-    doc["bench"] = {"calibration_pool": 30, "calibration_K": 4}
+    doc["bench"] = {"calibration_pool": 30}
     doc["invariance"] = {"j": 0, "tau_values": [1.0], "c_values": [0.0],
                          "n_mc": 8, "grid_points": 5, "train_size": 48,
                          "val_size": 16, "intra_patience": 2, "max_epochs": 2}
@@ -548,6 +548,77 @@ def test_labelling_runs_on_the_configured_threads(tiny_cfg, monkeypatch, argv):
         monkeypatch.setattr(module, "predict_batch", spy)
     assert run([*argv, "--config", tiny_cfg, "--auto", "--threads", 2]) == EXIT_OK
     assert seen and set(seen) == {2}
+
+
+class TestOneKeyPerSetting:
+    """Each setting has one key, in the section that owns it, and every
+    command reads it there."""
+
+    def test_al_round_zero_is_drawn_under_the_datagen_section(self, tiny_cfg, monkeypatch):
+        doc = json.loads(tiny_cfg.read_text())
+        doc["datagen"] = {"I": 64, "tau": 0.6, "input_dist": "standard_gaussian"}
+        tiny_cfg.write_text(json.dumps(doc))
+        seen = []
+        real = active_learning.generate
+        monkeypatch.setattr(active_learning, "generate",
+                            lambda spec, draws, cfg, threads=1:
+                            seen.append(cfg) or real(spec, draws, cfg, threads))
+        assert run(["train", "--al", "--config", tiny_cfg, "--auto"]) == EXIT_OK
+        assert seen == [synth_data.DataGenConfig(I=40, tau=0.6, input_dist="standard_gaussian",
+                                                 seed=11)]
+
+    def test_speed_fits_each_J_under_the_model_section(self, tiny_cfg, monkeypatch):
+        doc = json.loads(tiny_cfg.read_text())
+        doc["model"].update(link="sine", prior_beta_var=0.3, n_observed=50, truth_sigma2=0.02)
+        doc["bench"] = {"J_list": [2, 3], "M": 8, "N_test": 20, "reps": 1, "warmup": 20}
+        tiny_cfg.write_text(json.dumps(doc))
+        truths, observed = [], []
+        real_truth, real_observed = bench.sample_ground_truth, bench.generate_observed
+
+        def truth_spy(spec, rng, sigma2=0.01):
+            truths.append((spec, sigma2))
+            return real_truth(spec, rng, sigma2)
+
+        def observed_spy(spec, truth, N, rng):
+            observed.append((spec, N))
+            return real_observed(spec, truth, N, rng)
+
+        monkeypatch.setattr(bench, "sample_ground_truth", truth_spy)
+        monkeypatch.setattr(bench, "generate_observed", observed_spy)
+        assert run(["bench", "speed", "--config", tiny_cfg]) == EXIT_OK
+        specs = [ModelSpec(J=J, link="sine", prior_beta_var=0.3) for J in (2, 3)]
+        assert truths == [(spec, 0.02) for spec in specs]
+        assert observed == [(spec, 50) for spec in specs]
+
+    def test_calibration_scores_with_al_K(self, tiny_cfg, tmp_path, monkeypatch):
+        doc = json.loads(tiny_cfg.read_text())
+        doc["bench"] = {"calibration_pool": 30}
+        tiny_cfg.write_text(json.dumps(doc))
+        Ks = []
+        real = cli.calibration_data
+        monkeypatch.setattr(cli, "calibration_data",
+                            lambda net, spec, draws, X, K, rng, threads:
+                            Ks.append(K) or real(net, spec, draws, X, K, rng, threads))
+        assert run(["bench", "calibration", "--config", tiny_cfg, "--auto"]) == EXIT_OK
+        report = read_manifest(tmp_path / "arts" / "bench" / "report.json", "bench_report",
+                               ("calibration",))
+        assert Ks == [TINY["al"]["K"]]
+        assert report["calibration"]["K"] == TINY["al"]["K"]
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("al", "tau", 0.8), ("al", "input_dist", "uniform01"),
+        ("bench", "n_observed", 1000), ("bench", "calibration_K", 50),
+    ], ids=["al.tau", "al.input_dist", "bench.n_observed", "bench.calibration_K"])
+    def test_a_restating_key_exits_2(self, tiny_cfg, tmp_path, capsys, section, key, value):
+        doc = json.loads(tiny_cfg.read_text())
+        doc.setdefault(section, {})[key] = value
+        tiny_cfg.write_text(json.dumps(doc))
+        assert run(["fit-bm", "--config", tiny_cfg]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown keys in section {section!r}: [{key!r}]; "
+                              "allowed: [")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "arts").exists()
 
 
 class TestErrorExitCodes:

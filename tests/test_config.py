@@ -148,7 +148,7 @@ class TestRejection:
         {"model": {"truth_sigma2": "a"}},
         {"bench": {"J_list": [0]}},
         {"bench": {"J_list": "ab"}},
-        {"bench": {"calibration_K": 1}},
+        {"bench": {"calibration_pool": 1}},
         {"invariance": {"val_size": 0}},
         {"invariance": {"tau_values": ["a"]}},
         {"invariance": {"c_values": ["b"]}},
@@ -198,7 +198,7 @@ class TestRejection:
         ({"net": {"learning_rate": True}}, "net.learning_rate"),
         ({"net": {"dropout_rate": False}}, "net.dropout_rate"),
         ({"datagen": {"tau": True}}, "datagen.tau"),
-        ({"al": {"tau": True}}, "al.tau"),
+        ({"sampler": {"target_accept": "x"}}, "sampler.target_accept"),
         ({"sampler": {"step_size": True}}, "sampler.step_size"),
         ({"invariance": {"tau_values": [True]}}, "invariance.tau_values entry"),
         ({"invariance": {"c_values": [0.0, None]}}, "invariance.c_values entry"),
@@ -306,12 +306,11 @@ class TestAcceptedKeys:
             "datagen": {"I", "input_dist", "tau"},
             "net": {"activation", "batch_size", "dropout_rate", "hidden_width",
                     "learning_rate", "norm"},
-            "al": {"I_al", "I_init", "K", "input_dist", "inter_patience", "intra_patience",
-                   "max_epochs", "max_rounds", "pool_size", "tau", "val_size"},
+            "al": {"I_al", "I_init", "K", "inter_patience", "intra_patience",
+                   "max_epochs", "max_rounds", "pool_size", "val_size"},
             "invariance": {"c_values", "grid_points", "intra_patience", "j", "max_epochs",
                            "n_mc", "tau_values", "train_size", "val_size"},
-            "bench": {"J_list", "M", "N_test", "calibration_K", "calibration_pool",
-                      "n_observed", "reps", "warmup"},
+            "bench": {"J_list", "M", "N_test", "calibration_pool", "reps", "warmup"},
             "paths": {"artifacts", "workdir"},
         }
 
